@@ -36,6 +36,11 @@ KNOWN_BENCHES = {
                            ("svc_uniques_per_sec", "req_per_sec",
                             "multiplier", "overhead_pct")),
 }
+# bench name -> metrics that describe the instance, not the mode: every
+# record of an instance repeats them, so they get one row per instance.
+INSTANCE_METRICS = {
+    "tape_engine": ("transform_ms", "circuit_ops"),
+}
 # Fallback metric candidates for benches this script does not know yet.
 FALLBACK_METRICS = ("iters_per_sec", "sol_per_sec", "throughput", "elapsed_ms")
 # Histogram-percentile fields (p50_ms, slice_p99_ms, ...) are always picked
@@ -55,6 +60,10 @@ def rows_from(doc):
     bench = doc.get("bench", "?")
     key_fields, metrics = KNOWN_BENCHES.get(bench, (None, None))
     for record in doc.get("records", []):
+        for metric in INSTANCE_METRICS.get(bench, ()):
+            value = record.get(metric)
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                yield f"{bench}:{record.get('instance', '?')} [{metric}]", float(value)
         if key_fields is None:
             metric = next((m for m in FALLBACK_METRICS if m in record), None)
             if metric is None:

@@ -19,7 +19,10 @@
 // compiled word-parallel circuit::EvalPlan (single thread — the acceptance
 // comparison), recorded as two extra JSON records per instance (modes
 // `harvest-scalar` and `harvest-plan`).  Opcode-run statistics of the
-// engine plan (run count, longest/mean run) ride along on every record.
+// engine plan (run count, longest/mean run) ride along on every record, and
+// so do the instance's CNF->circuit transform time (`transform_ms`, one
+// timed transform_cnf call) and its extracted `circuit_ops`, so the
+// trajectory tracks the transform per commit.
 //
 // The per-instance header reports the plan shape (level count, width
 // histogram): wide-but-shallow families are where `level` can beat the
@@ -36,6 +39,7 @@
 #include "circuit/eval_plan.hpp"
 #include "prob/compiled.hpp"
 #include "prob/engine.hpp"
+#include "transform/transform.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -201,6 +205,12 @@ int main(int argc, char** argv) {
     const benchgen::Instance instance = bench::make_scaled_instance(name, env);
     const std::size_t batch =
         bench::pick_batch(env, instance.formula.n_vars());
+    const util::Timer transform_timer;
+    const std::uint64_t circuit_ops =
+        transform::transform_cnf(instance.formula).stats.circuit_ops;
+    const double transform_ms = transform_timer.milliseconds();
+    std::printf("%s: transform %.1f ms, %llu circuit ops\n", name.c_str(),
+                transform_ms, static_cast<unsigned long long>(circuit_ops));
 
     const prob::CompiledCircuit raw(
         instance.circuit, prob::CompiledCircuit::Options{false, false});
@@ -260,6 +270,8 @@ int main(int argc, char** argv) {
           .field("mode", row.mode)
           .field("policy", tensor::policy_name(row.policy))
           .field("batch", batch)
+          .field("transform_ms", transform_ms)
+          .field("circuit_ops", circuit_ops)
           .field("ops", row.compiled->n_ops())
           .field("slots", row.compiled->n_slots())
           .field("iterations", row.result->iterations)
@@ -337,6 +349,8 @@ int main(int argc, char** argv) {
       record.field("instance", name)
           .field("mode", harvest_modes[h])
           .field("batch", batch)
+          .field("transform_ms", transform_ms)
+          .field("circuit_ops", circuit_ops)
           .field("rows_validated", harvest_rows[h]->rows)
           .field("elapsed_ms", harvest_rows[h]->elapsed_ms)
           .field("harvest_rows_per_sec", harvest_rows[h]->rows_per_sec())

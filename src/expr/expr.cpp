@@ -1,6 +1,7 @@
 #include "expr/expr.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "bdd/bdd.hpp"
@@ -33,38 +34,58 @@ std::uint64_t Manager::node_key(Kind kind, std::uint32_t var,
   return h;
 }
 
+bool Manager::same_node(ExprId id, Kind kind, std::uint32_t var,
+                        std::span<const ExprId> children) const {
+  const Node& n = nodes_[id];
+  return n.kind == kind && n.var == var && n.child_count == children.size() &&
+         std::equal(children.begin(), children.end(),
+                    child_pool_.begin() + n.child_begin);
+}
+
+void Manager::grow_unique() {
+  const std::size_t capacity = unique_.empty() ? 1024 : unique_.size() * 2;
+  unique_.assign(capacity, kNoExpr);
+  unique_shift_ = 64 - static_cast<std::uint32_t>(std::countr_zero(capacity));
+  const std::size_t mask = capacity - 1;
+  // Constants are never interned; every other node is, exactly once.
+  for (ExprId id = 2; id < nodes_.size(); ++id) {
+    std::size_t slot = nodes_[id].key >> unique_shift_;
+    while (unique_[slot] != kNoExpr) slot = (slot + 1) & mask;
+    unique_[slot] = id;
+  }
+}
+
 ExprId Manager::intern(Kind kind, std::uint32_t var,
                        std::span<const ExprId> children) {
+  // Keep the load factor at or below 1/2 so probe runs stay short.
+  if (2 * (nodes_.size() + 1) > unique_.size()) grow_unique();
   const std::uint64_t key = node_key(kind, var, children);
-  auto& bucket = unique_[key];
-  for (const ExprId candidate : bucket) {
-    const Node& n = nodes_[candidate];
-    if (n.kind != kind || n.var != var || n.child_count != children.size()) continue;
-    bool same = true;
-    for (std::uint32_t i = 0; i < n.child_count; ++i) {
-      if (child_pool_[n.child_begin + i] != children[i]) {
-        same = false;
-        break;
-      }
+  const std::size_t mask = unique_.size() - 1;
+  std::size_t slot = key >> unique_shift_;
+  for (;; slot = (slot + 1) & mask) {
+    const ExprId candidate = unique_[slot];
+    if (candidate == kNoExpr) break;
+    if (nodes_[candidate].key == key && same_node(candidate, kind, var, children)) {
+      return candidate;
     }
-    if (same) return candidate;
   }
   Node node;
   node.kind = kind;
   node.var = var;
   node.child_begin = static_cast<std::uint32_t>(child_pool_.size());
   node.child_count = static_cast<std::uint32_t>(children.size());
+  node.key = key;
   child_pool_.insert(child_pool_.end(), children.begin(), children.end());
   const auto id = static_cast<ExprId>(nodes_.size());
   nodes_.push_back(node);
-  bucket.push_back(id);
+  unique_[slot] = id;
   return id;
 }
 
 ExprId Manager::var(std::uint32_t v) {
-  auto [it, inserted] = var_nodes_.try_emplace(v, kNoExpr);
-  if (inserted) it->second = intern(Kind::kVar, v, {});
-  return it->second;
+  if (v >= var_nodes_.size()) var_nodes_.resize(std::size_t{v} + 1, kNoExpr);
+  if (var_nodes_[v] == kNoExpr) var_nodes_[v] = intern(Kind::kVar, v, {});
+  return var_nodes_[v];
 }
 
 ExprId Manager::mk_not(ExprId a) {
@@ -81,8 +102,8 @@ ExprId Manager::mk_andor(Kind op, std::vector<ExprId> items) {
   const ExprId identity = (op == Kind::kAnd) ? const1() : const0();
 
   // Flatten nested same-op nodes.
-  std::vector<ExprId> flat;
-  flat.reserve(items.size());
+  std::vector<ExprId>& flat = andor_flat_;
+  flat.clear();
   for (std::size_t i = 0; i < items.size(); ++i) {
     const ExprId item = items[i];
     if (kind(item) == op) {
@@ -108,8 +129,8 @@ ExprId Manager::mk_andor(Kind op, std::vector<ExprId> items) {
   // Absorption: under AND drop any child OR(...) that contains another
   // child; dually under OR.
   const Kind dual = (op == Kind::kAnd) ? Kind::kOr : Kind::kAnd;
-  std::vector<ExprId> kept;
-  kept.reserve(flat.size());
+  std::vector<ExprId>& kept = andor_kept_;
+  kept.clear();
   for (const ExprId item : flat) {
     bool absorbed = false;
     if (kind(item) == dual) {
@@ -179,23 +200,28 @@ ExprId Manager::mk_xor(std::vector<ExprId> items) {
   return parity ? mk_not(result) : result;
 }
 
+void Manager::collect_cone(std::span<const ExprId> roots) const {
+  seen_nodes_.clear(nodes_.size());
+  cone_.clear();
+  stack_.assign(roots.begin(), roots.end());
+  while (!stack_.empty()) {
+    const ExprId cur = stack_.back();
+    stack_.pop_back();
+    if (!seen_nodes_.insert(cur)) continue;
+    cone_.push_back(cur);
+    for (const ExprId c : children(cur)) stack_.push_back(c);
+  }
+}
+
 std::vector<std::uint32_t> Manager::support(ExprId id) const {
   std::vector<std::uint32_t> vars;
-  std::vector<ExprId> stack{id};
-  std::unordered_map<ExprId, bool> seen;
-  while (!stack.empty()) {
-    const ExprId cur = stack.back();
-    stack.pop_back();
-    if (seen[cur]) continue;
-    seen[cur] = true;
-    if (kind(cur) == Kind::kVar) {
-      vars.push_back(var_index(cur));
-    } else {
-      for (const ExprId c : children(cur)) stack.push_back(c);
-    }
+  const ExprId roots[1] = {id};
+  collect_cone(roots);
+  for (const ExprId cur : cone_) {
+    if (kind(cur) == Kind::kVar) vars.push_back(var_index(cur));
   }
+  // Variable nodes are hash-consed, so the cone holds each variable once.
   std::sort(vars.begin(), vars.end());
-  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
   return vars;
 }
 
@@ -234,63 +260,72 @@ TruthTable Manager::truth_table(ExprId id,
                                 std::span<const std::uint32_t> support_vars) const {
   const auto n = static_cast<std::uint32_t>(support_vars.size());
   HTS_CHECK(n <= kMaxTruthTableVars);
-  std::unordered_map<std::uint32_t, std::uint32_t> var_to_slot;
-  for (std::uint32_t j = 0; j < n; ++j) var_to_slot[support_vars[j]] = j;
+  const std::size_t var_bound =
+      support_vars.empty()
+          ? 0
+          : std::size_t{*std::max_element(support_vars.begin(), support_vars.end())} + 1;
+  seen_vars_.clear(var_bound);
+  if (var_slot_.size() < var_bound) var_slot_.resize(var_bound);
+  for (std::uint32_t j = 0; j < n; ++j) {
+    seen_vars_.insert(support_vars[j]);
+    var_slot_[support_vars[j]] = j;
+  }
 
-  std::unordered_map<ExprId, TruthTable> memo;
-  // Post-order evaluation with an explicit stack to avoid deep recursion on
-  // chain-shaped circuits.
-  std::vector<std::pair<ExprId, bool>> stack{{id, false}};
-  while (!stack.empty()) {
-    auto [cur, expanded] = stack.back();
-    stack.pop_back();
-    if (memo.contains(cur)) continue;
-    if (!expanded) {
-      stack.push_back({cur, true});
-      for (const ExprId c : children(cur)) stack.push_back({c, false});
-      continue;
-    }
-    TruthTable tt;
+  // Children always have smaller ids than their parents, so evaluating the
+  // cone in ascending id order is a post-order walk without recursion.
+  const ExprId roots[1] = {id};
+  collect_cone(roots);
+  std::sort(cone_.begin(), cone_.end());
+  if (node_slot_.size() < nodes_.size()) node_slot_.resize(nodes_.size());
+  tables_.clear();
+  for (const ExprId cur : cone_) {
+    node_slot_[cur] = static_cast<std::uint32_t>(tables_.size());
+    const auto table_of = [&](ExprId c) -> const TruthTable& {
+      return tables_[node_slot_[c]];
+    };
     switch (kind(cur)) {
       case Kind::kConst0:
-        tt = TruthTable::constant(n, false);
+        tables_.push_back(TruthTable::constant(n, false));
         break;
       case Kind::kConst1:
-        tt = TruthTable::constant(n, true);
+        tables_.push_back(TruthTable::constant(n, true));
         break;
       case Kind::kVar: {
-        const auto it = var_to_slot.find(var_index(cur));
-        HTS_CHECK_MSG(it != var_to_slot.end(),
+        const std::uint32_t v = var_index(cur);
+        HTS_CHECK_MSG(seen_vars_.contains(v),
                       "truth_table support does not cover expression");
-        tt = TruthTable::projection(n, it->second);
+        tables_.push_back(TruthTable::projection(n, var_slot_[v]));
         break;
       }
       case Kind::kNot:
-        tt = ~memo.at(children(cur)[0]);
+        tables_.push_back(~table_of(children(cur)[0]));
         break;
-      case Kind::kAnd: {
-        tt = TruthTable::constant(n, true);
-        for (const ExprId c : children(cur)) tt = tt & memo.at(c);
-        break;
-      }
-      case Kind::kOr: {
-        tt = TruthTable::constant(n, false);
-        for (const ExprId c : children(cur)) tt = tt | memo.at(c);
-        break;
-      }
+      case Kind::kAnd:
+      case Kind::kOr:
       case Kind::kXor: {
-        tt = TruthTable::constant(n, false);
-        for (const ExprId c : children(cur)) tt = tt ^ memo.at(c);
+        const auto kids = children(cur);
+        TruthTable tt = table_of(kids[0]);
+        for (const ExprId c : kids.subspan(1)) {
+          if (kind(cur) == Kind::kAnd) {
+            tt &= table_of(c);
+          } else if (kind(cur) == Kind::kOr) {
+            tt |= table_of(c);
+          } else {
+            tt ^= table_of(c);
+          }
+        }
+        tables_.push_back(std::move(tt));
         break;
       }
     }
-    memo.emplace(cur, std::move(tt));
   }
-  return memo.at(id);
+  return tables_[node_slot_[id]];
 }
 
 ExprId Manager::negate(ExprId id) {
-  if (auto it = negate_cache_.find(id); it != negate_cache_.end()) return it->second;
+  if (id < negate_cache_.size() && negate_cache_[id] != kNoExpr) {
+    return negate_cache_[id];
+  }
   ExprId result = kNoExpr;
   switch (kind(id)) {
     case Kind::kConst0:
@@ -320,7 +355,8 @@ ExprId Manager::negate(ExprId id) {
       result = mk_not(id);
       break;
   }
-  negate_cache_.emplace(id, result);
+  if (negate_cache_.size() <= id) negate_cache_.resize(nodes_.size(), kNoExpr);
+  negate_cache_[id] = result;
   return result;
 }
 
@@ -413,18 +449,26 @@ ExprId Manager::from_sop(std::span<const Cube> cover,
 }
 
 ExprId Manager::simplify(ExprId id, std::uint32_t max_resynth_vars) {
+  ++n_simplified_;
   const std::vector<std::uint32_t> vars = support(id);
   if (vars.size() > max_resynth_vars) return id;
 
-  const TruthTable tt = truth_table(id, vars);
+  const TruthTable& tt = truth_table(id, vars);
   if (tt.is_constant_false()) return const0();
   if (tt.is_constant_true()) return const1();
 
-  const std::vector<Cube> sop = minimize_sop(tt);
-  const std::vector<Cube> complement_sop = minimize_sop(~tt);
+  // The covers depend only on the table, not on which variables fill the
+  // support positions; from_sop relabels them onto this call's support.
+  auto [entry, inserted] = cover_memo_.try_emplace(tt);
+  Covers& covers = entry->second;
+  if (inserted) {
+    covers.sop = minimize_sop(tt);
+    covers.complement_sop = minimize_sop(~tt);
+    ++n_qm_minimized_;
+  }
 
-  const ExprId sop_expr = from_sop(sop, vars);
-  const ExprId pos_expr = negate(from_sop(complement_sop, vars));
+  const ExprId sop_expr = from_sop(covers.sop, vars);
+  const ExprId pos_expr = negate(from_sop(covers.complement_sop, vars));
 
   ExprId best = id;
   std::uint64_t best_cost = op_count_2input(id);
@@ -447,13 +491,8 @@ std::uint64_t Manager::op_count_2input(ExprId id, bool count_nots) const {
 std::uint64_t Manager::op_count_2input(std::span<const ExprId> roots,
                                        bool count_nots) const {
   std::uint64_t ops = 0;
-  std::unordered_map<ExprId, bool> seen;
-  std::vector<ExprId> stack(roots.begin(), roots.end());
-  while (!stack.empty()) {
-    const ExprId cur = stack.back();
-    stack.pop_back();
-    if (seen[cur]) continue;
-    seen[cur] = true;
+  collect_cone(roots);
+  for (const ExprId cur : cone_) {
     switch (kind(cur)) {
       case Kind::kConst0:
       case Kind::kConst1:
@@ -468,7 +507,6 @@ std::uint64_t Manager::op_count_2input(std::span<const ExprId> roots,
         ops += children(cur).size() - 1;
         break;
     }
-    for (const ExprId c : children(cur)) stack.push_back(c);
   }
   return ops;
 }

@@ -9,6 +9,13 @@
 // parity normalization) so structurally-different but trivially-equal inputs
 // intern to one node.  Exact equivalence / complement checks use truth
 // tables when the combined support is small and fall back to BDDs.
+//
+// A Manager is single-threaded, const queries included: support(),
+// truth_table() and op_count_2input() reuse per-Manager scratch (epoch-
+// stamped node/variable marks) instead of allocating hash maps per call.
+// simplify() memoizes its Quine-McCluskey covers by truth table, so a
+// formula whose definitions repeat a handful of functions runs QM only
+// once per distinct function.
 
 #include <cstdint>
 #include <span>
@@ -18,6 +25,7 @@
 
 #include "expr/qm.hpp"
 #include "expr/truth_table.hpp"
+#include "util/stamp_set.hpp"
 
 namespace hts::expr {
 
@@ -92,8 +100,15 @@ class Manager {
   /// is resynthesized from its truth table via Quine-McCluskey (best of SOP
   /// and POS); the cheaper of {input, resynthesis} in 2-input-equivalent ops
   /// is returned.  Larger supports keep the (already locally simplified)
-  /// input.  This mirrors the paper's SymPy `simplify` step.
+  /// input.  This mirrors the paper's SymPy `simplify` step.  Both covers
+  /// are memoized per truth table (over support positions, not variables),
+  /// so the same function over any support is minimized once.
   [[nodiscard]] ExprId simplify(ExprId id, std::uint32_t max_resynth_vars = 12);
+
+  /// simplify() calls so far, and how many of them ran Quine-McCluskey
+  /// (cover-memo misses).
+  [[nodiscard]] std::uint64_t n_simplified() const { return n_simplified_; }
+  [[nodiscard]] std::uint64_t n_qm_minimized() const { return n_qm_minimized_; }
 
   /// 2-input gate-equivalent cost of the sub-DAG under id (shared nodes
   /// counted once).  NOT costs 1 when count_nots.
@@ -116,24 +131,57 @@ class Manager {
     std::uint32_t var = 0;         // for kVar
     std::uint32_t child_begin = 0; // into child_pool_
     std::uint32_t child_count = 0;
+    std::uint64_t key = 0;         // node_key(); rehashes the unique table
+  };
+
+  /// Both minimized covers of one truth table: of the function and of its
+  /// complement (for the POS candidate).
+  struct Covers {
+    std::vector<Cube> sop;
+    std::vector<Cube> complement_sop;
   };
 
   [[nodiscard]] ExprId intern(Kind kind, std::uint32_t var,
                               std::span<const ExprId> children);
   [[nodiscard]] std::uint64_t node_key(Kind kind, std::uint32_t var,
                                        std::span<const ExprId> children) const;
+  [[nodiscard]] bool same_node(ExprId id, Kind kind, std::uint32_t var,
+                               std::span<const ExprId> children) const;
+  /// Doubles the unique table and reinserts every interned node.
+  void grow_unique();
 
   /// Shared flatten/sort/dedupe/annihilate machinery for AND/OR.
   [[nodiscard]] ExprId mk_andor(Kind op, std::vector<ExprId> children);
+
+  /// Fills cone_ with the nodes of the sub-DAG under the roots, each once,
+  /// in no particular order.
+  void collect_cone(std::span<const ExprId> roots) const;
 
   [[nodiscard]] bool equivalent_by_bdd(ExprId a, ExprId b,
                                        std::span<const std::uint32_t> support_vars);
 
   std::vector<Node> nodes_;
   std::vector<ExprId> child_pool_;
-  std::unordered_map<std::uint64_t, std::vector<ExprId>> unique_;  // key -> candidates
-  std::unordered_map<ExprId, ExprId> negate_cache_;
-  std::unordered_map<std::uint32_t, ExprId> var_nodes_;
+  /// Open-addressing hash-cons table of node ids (kNoExpr = empty slot),
+  /// power-of-two sized, linear probing from the key's top bits.
+  std::vector<ExprId> unique_;
+  std::uint32_t unique_shift_ = 64;
+  std::vector<ExprId> negate_cache_;  // node -> negate(node) or kNoExpr
+  std::vector<ExprId> var_nodes_;     // variable -> its kVar node or kNoExpr
+  std::unordered_map<TruthTable, Covers, TruthTableHash> cover_memo_;
+  std::uint64_t n_simplified_ = 0;
+  std::uint64_t n_qm_minimized_ = 0;
+
+  // Per-call scratch, reused across calls (none of these calls nest).
+  std::vector<ExprId> andor_flat_;
+  std::vector<ExprId> andor_kept_;
+  mutable util::StampSet seen_nodes_;
+  mutable std::vector<ExprId> cone_;
+  mutable std::vector<ExprId> stack_;
+  mutable util::StampSet seen_vars_;
+  mutable std::vector<std::uint32_t> var_slot_;  // var -> support position
+  mutable std::vector<std::uint32_t> node_slot_; // node -> index in tables_
+  mutable std::vector<TruthTable> tables_;
 };
 
 }  // namespace hts::expr

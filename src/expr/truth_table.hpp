@@ -1,6 +1,7 @@
 #pragma once
 
 // Dense truth tables over a small ordered support (<= 20 variables).
+// Tables of up to 6 variables fit one inline word and never allocate.
 //
 // Row index encodes the assignment: bit j of the row index is the value of
 // the j-th support variable.  Tables are the exact semantic backend for
@@ -22,7 +23,7 @@ class TruthTable {
 
   explicit TruthTable(std::uint32_t n_vars) : n_vars_(n_vars) {
     HTS_CHECK_MSG(n_vars <= kMaxTruthTableVars, "truth table support too large");
-    bits_.assign(word_count(), 0);
+    if (n_vars > kInlineVars) heap_.assign(word_count(), 0);
   }
 
   [[nodiscard]] std::uint32_t n_vars() const { return n_vars_; }
@@ -30,16 +31,16 @@ class TruthTable {
 
   [[nodiscard]] bool get(std::uint64_t row) const {
     HTS_DCHECK(row < n_rows());
-    return ((bits_[row >> 6] >> (row & 63)) & 1ULL) != 0;
+    return ((words()[row >> 6] >> (row & 63)) & 1ULL) != 0;
   }
 
   void set(std::uint64_t row, bool value) {
     HTS_DCHECK(row < n_rows());
     const std::uint64_t mask = 1ULL << (row & 63);
     if (value) {
-      bits_[row >> 6] |= mask;
+      words()[row >> 6] |= mask;
     } else {
-      bits_[row >> 6] &= ~mask;
+      words()[row >> 6] &= ~mask;
     }
   }
 
@@ -53,6 +54,9 @@ class TruthTable {
   [[nodiscard]] TruthTable operator&(const TruthTable& other) const;
   [[nodiscard]] TruthTable operator|(const TruthTable& other) const;
   [[nodiscard]] TruthTable operator^(const TruthTable& other) const;
+  TruthTable& operator&=(const TruthTable& other);
+  TruthTable& operator|=(const TruthTable& other);
+  TruthTable& operator^=(const TruthTable& other);
 
   [[nodiscard]] bool operator==(const TruthTable& other) const;
 
@@ -65,15 +69,35 @@ class TruthTable {
   /// Row indices of all ones (the minterms).
   [[nodiscard]] std::vector<std::uint64_t> minterms() const;
 
+  /// Hash of (n_vars, rows); equal tables hash equally.
+  [[nodiscard]] std::uint64_t hash() const;
+
  private:
+  /// Tables of up to 2^6 rows live in one inline word and never allocate.
+  static constexpr std::uint32_t kInlineVars = 6;
+
   [[nodiscard]] std::size_t word_count() const {
     return static_cast<std::size_t>((n_rows() + 63) >> 6);
   }
-  /// Masks off the unused tail bits of the last word for n_vars < 6.
+  [[nodiscard]] const std::uint64_t* words() const {
+    return n_vars_ <= kInlineVars ? &inline_ : heap_.data();
+  }
+  [[nodiscard]] std::uint64_t* words() {
+    return n_vars_ <= kInlineVars ? &inline_ : heap_.data();
+  }
+  /// Masks off the unused tail bits of the single word for n_vars < 6.
   void trim();
 
   std::uint32_t n_vars_ = 0;
-  std::vector<std::uint64_t> bits_;
+  std::uint64_t inline_ = 0;          // the rows when n_vars <= kInlineVars
+  std::vector<std::uint64_t> heap_;   // the rows otherwise
+};
+
+/// Hasher for unordered containers keyed by truth table.
+struct TruthTableHash {
+  std::size_t operator()(const TruthTable& tt) const noexcept {
+    return static_cast<std::size_t>(tt.hash());
+  }
 };
 
 }  // namespace hts::expr

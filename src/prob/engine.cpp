@@ -213,11 +213,12 @@ Engine::Engine(const CompiledCircuit& compiled, Config config)
     if (bias.weight == 0.0f || bias.input >= compiled_->n_circuit_inputs()) {
       continue;
     }
-    const std::uint32_t slot = compiled_->input_slot()[bias.input];
+    const std::int32_t slot = compiled_->input_slot()[bias.input];
     if (slot == kNoSlot) {
       free_biases_.push_back({bias.input, bias.target, bias.weight});
     } else {
-      slot_biases_.push_back({slot, bias.target, bias.weight});
+      slot_biases_.push_back(
+          {static_cast<std::uint32_t>(slot), bias.target, bias.weight});
     }
   }
   // Constant slots never change: fill once, per tile.

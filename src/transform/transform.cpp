@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "bdd/bdd.hpp"
 #include "circuit/expr_import.hpp"
 #include "expr/expr.hpp"
+#include "util/stamp_set.hpp"
 #include "util/timer.hpp"
 
 namespace hts::transform {
@@ -34,14 +34,18 @@ struct Definition {
 class Extractor {
  public:
   Extractor(const cnf::Formula& formula, const Config& config)
-      : formula_(formula), config_(config), roles_(formula.n_vars(), VarRole::kUnseen) {}
+      : formula_(formula), config_(config), roles_(formula.n_vars(), VarRole::kUnseen) {
+    block_vars_.clear(formula.n_vars());
+  }
 
   Result run() {
     util::Timer timer;
     const auto& clauses = formula_.clauses();
     for (std::size_t i = 0; i < clauses.size(); ++i) {
       block_.push_back(i);
-      for (const Lit lit : clauses[i]) block_vars_.insert(lit.var());
+      for (const Lit lit : clauses[i]) {
+        if (block_vars_.insert(lit.var())) block_var_order_.push_back(lit.var());
+      }
       try_extract();
       const bool last = (i + 1 == clauses.size());
       if (!block_.empty() &&
@@ -55,6 +59,8 @@ class Extractor {
     result.stats.n_gate_definitions = n_gate_definitions_;
     result.stats.n_const_promotions = n_const_promotions_;
     result.stats.n_flushed_blocks = n_flushed_blocks_;
+    result.stats.n_simplified = exprs_.n_simplified();
+    result.stats.n_qm_minimized = exprs_.n_qm_minimized();
     result.stats.cnf_ops = formula_.op_count_2input(config_.count_nots);
     result.stats.circuit_ops = result.circuit.op_count_2input(config_.count_nots);
     result.stats.n_primary_inputs = result.circuit.n_inputs();
@@ -76,19 +82,8 @@ class Extractor {
 
   void clear_block() {
     block_.clear();
-    block_vars_.clear();
-  }
-
-  /// Variables of the block in order of first appearance.
-  [[nodiscard]] std::vector<Var> block_variables() const {
-    std::vector<Var> vars;
-    std::unordered_set<Var> seen;
-    for (const std::size_t ci : block_) {
-      for (const Lit lit : formula_.clause(ci)) {
-        if (seen.insert(lit.var()).second) vars.push_back(lit.var());
-      }
-    }
-    return vars;
+    block_vars_.clear(formula_.n_vars());
+    block_var_order_.clear();
   }
 
   /// FindBooleanExpression(v, SC): conjunction over block clauses containing
@@ -119,7 +114,7 @@ class Extractor {
   }
 
   void try_extract() {
-    for (const Var v : block_variables()) {
+    for (const Var v : block_var_order_) {
       const VarRole role = roles_[v];
       if (role == VarRole::kPrimaryInput || role == VarRole::kPrimaryOutput) {
         continue;
@@ -269,7 +264,8 @@ class Extractor {
   expr::Manager exprs_;
   std::vector<VarRole> roles_;
   std::vector<std::size_t> block_;  // pending clause indices (SC)
-  std::unordered_set<Var> block_vars_;
+  util::StampSet block_vars_;       // variables of SC
+  std::vector<Var> block_var_order_;  // the same, in order of first appearance
   std::vector<Definition> definitions_;
   std::size_t n_gate_definitions_ = 0;
   std::size_t n_const_promotions_ = 0;

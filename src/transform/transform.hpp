@@ -56,6 +56,8 @@ struct Stats {
   std::size_t n_flushed_blocks = 0;     // under-specified blocks
   std::size_t n_primary_inputs = 0;     // circuit inputs after extraction
   std::size_t n_primary_outputs = 0;    // constrained outputs
+  std::uint64_t n_simplified = 0;       // expr::Manager::simplify calls
+  std::uint64_t n_qm_minimized = 0;     // ...that ran QM (cover-memo misses)
   std::uint64_t cnf_ops = 0;            // flat-CNF 2-input-equivalent ops
   std::uint64_t circuit_ops = 0;        // extracted-circuit ops
   /// The paper's Fig. 4 (middle) metric: cnf_ops / circuit_ops.

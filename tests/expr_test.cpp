@@ -1,9 +1,16 @@
 // Tests for the expression engine: construction rules, truth tables,
 // Quine-McCluskey minimization, negation, equivalence, and the
 // simplification entry point.  Includes randomized property sweeps checking
-// that every algebraic transformation preserves semantics.
+// that every algebraic transformation preserves semantics, and coverage of
+// the Manager's internal structures: the per-truth-table cover memo, the
+// open-addressing unique table across growth, and the epoch-stamped query
+// scratch reused across calls.
 
 #include <gtest/gtest.h>
+
+#include <cctype>
+#include <functional>
+#include <set>
 
 #include "expr/expr.hpp"
 #include "expr/qm.hpp"
@@ -344,6 +351,249 @@ TEST_F(ExprTest, FromSopRebuildsCover) {
   const ExprId expected =
       mgr.mk_or2(mgr.mk_and2(a, mgr.mk_not(c)), b);
   EXPECT_TRUE(mgr.equivalent(e, expected));
+}
+
+// --- truth tables across the inline/heap boundary ------------------------------
+
+TEST(TruthTable, InlineAndHeapTablesMatchRowSemantics) {
+  util::Rng rng(4242);
+  for (std::uint32_t n = 0; n <= 8; ++n) {
+    TruthTable x(n);
+    TruthTable y(n);
+    for (std::uint64_t row = 0; row < x.n_rows(); ++row) {
+      x.set(row, rng.next_bool());
+      y.set(row, rng.next_bool());
+    }
+    const TruthTable conj = x & y;
+    const TruthTable disj = x | y;
+    const TruthTable parity = x ^ y;
+    const TruthTable inverse = ~x;
+    std::uint64_t ones = 0;
+    for (std::uint64_t row = 0; row < x.n_rows(); ++row) {
+      EXPECT_EQ(conj.get(row), x.get(row) && y.get(row)) << n;
+      EXPECT_EQ(disj.get(row), x.get(row) || y.get(row)) << n;
+      EXPECT_EQ(parity.get(row), x.get(row) != y.get(row)) << n;
+      EXPECT_EQ(inverse.get(row), !x.get(row)) << n;
+      ones += x.get(row) ? 1 : 0;
+    }
+    EXPECT_EQ(x.popcount(), ones);
+    EXPECT_EQ(inverse.popcount(), x.n_rows() - ones);  // tail bits trimmed
+    TruthTable in_place = x;
+    in_place &= y;
+    EXPECT_EQ(in_place, conj);
+    const TruthTable copy = x;
+    EXPECT_EQ(copy, x);
+    EXPECT_EQ(copy.hash(), x.hash());
+    EXPECT_TRUE((x ^ x).is_constant_false());
+    EXPECT_TRUE((x | inverse).is_constant_true());
+  }
+  // Same bits, different arity: distinct tables.
+  EXPECT_FALSE(TruthTable::constant(3, false) == TruthTable::constant(4, false));
+}
+
+// --- simplify cover memo ---------------------------------------------------------
+
+/// (x&y&z) | (x&y&~z) | (~x&w) over the given four variables: resynthesis
+/// shrinks it to (x&y) | (~x&w), dropping z.
+ExprId redundant_mux(Manager& m, std::uint32_t x, std::uint32_t y, std::uint32_t z,
+                     std::uint32_t w) {
+  const ExprId vx = m.var(x);
+  const ExprId vy = m.var(y);
+  const ExprId vz = m.var(z);
+  const ExprId vw = m.var(w);
+  return m.mk_or({m.mk_and({vx, vy, vz}), m.mk_and({vx, vy, m.mk_not(vz)}),
+                  m.mk_and2(m.mk_not(vx), vw)});
+}
+
+/// to_string output with every variable index shifted by `offset`.
+std::string shift_vars(const std::string& text, std::uint32_t offset) {
+  std::string out;
+  for (std::size_t i = 0; i < text.size();) {
+    out += text[i];
+    if (text[i++] != 'x') continue;
+    std::size_t end = i;
+    while (end < text.size() && std::isdigit(static_cast<unsigned char>(text[end]))) ++end;
+    out += std::to_string(std::stoul(text.substr(i, end - i)) + offset);
+    i = end;
+  }
+  return out;
+}
+
+TEST(SimplifyMemo, SameFunctionOverDisjointSupportsIsRelabeled) {
+  Manager shared;
+  const std::vector<std::uint32_t> low{0, 1, 2, 3};
+  const std::vector<std::uint32_t> high{10, 11, 12, 13};
+  const ExprId f_low = redundant_mux(shared, 0, 1, 2, 3);
+  const ExprId f_high = redundant_mux(shared, 10, 11, 12, 13);
+  const ExprId s_low = shared.simplify(f_low);
+  EXPECT_EQ(shared.n_qm_minimized(), 1u);
+  const ExprId s_high = shared.simplify(f_high);
+  EXPECT_EQ(shared.n_simplified(), 2u);
+  EXPECT_EQ(shared.n_qm_minimized(), 1u);  // the second call hit the memo
+
+  EXPECT_NE(s_low, f_low);  // resynthesis won, so the cover was used
+  EXPECT_TRUE(shared.equivalent(s_low, f_low));
+  EXPECT_TRUE(shared.equivalent(s_high, f_high));
+  // Relabeled onto the call's own support, never the cached call's.
+  EXPECT_EQ(shared.support(s_low), (std::vector<std::uint32_t>{0, 1, 3}));
+  EXPECT_EQ(shared.support(s_high), (std::vector<std::uint32_t>{10, 11, 13}));
+  EXPECT_EQ(shared.truth_table(s_low, low), shared.truth_table(s_high, high));
+  EXPECT_EQ(shared.op_count_2input(s_low), shared.op_count_2input(s_high));
+  EXPECT_EQ(shared.to_string(s_high), shift_vars(shared.to_string(s_low), 10));
+
+  // A fresh Manager (cold memo) returns the same expression.
+  const std::pair<std::vector<std::uint32_t>, ExprId> cases[] = {{low, s_low},
+                                                                 {high, s_high}};
+  for (const auto& [vars, expected] : cases) {
+    Manager fresh;
+    const ExprId f = redundant_mux(fresh, vars[0], vars[1], vars[2], vars[3]);
+    const ExprId s = fresh.simplify(f);
+    EXPECT_EQ(fresh.n_qm_minimized(), 1u);
+    EXPECT_EQ(fresh.to_string(s), shared.to_string(expected));
+    EXPECT_EQ(fresh.truth_table(s, vars), shared.truth_table(expected, vars));
+    EXPECT_EQ(fresh.op_count_2input(s), shared.op_count_2input(expected));
+  }
+}
+
+TEST(SimplifyMemo, PermutedSupportIsADifferentTable) {
+  // x0 & (x1 | x2) and x2 & (x0 | x1) are one function up to renaming but
+  // different tables over the sorted support, so each runs QM once.
+  Manager m;
+  const ExprId a = m.var(0);
+  const ExprId b = m.var(1);
+  const ExprId c = m.var(2);
+  const ExprId f = m.mk_and2(a, m.mk_or2(b, c));
+  const ExprId g = m.mk_and2(c, m.mk_or2(a, b));
+  EXPECT_TRUE(m.equivalent(m.simplify(f), f));
+  EXPECT_TRUE(m.equivalent(m.simplify(g), g));
+  EXPECT_EQ(m.n_qm_minimized(), 2u);
+  EXPECT_TRUE(m.equivalent(m.simplify(g), g));
+  EXPECT_EQ(m.n_qm_minimized(), 2u);
+  EXPECT_EQ(m.n_simplified(), 3u);
+}
+
+// --- unique table ----------------------------------------------------------------
+
+TEST(UniqueTable, HashConsingSurvivesGrowth) {
+  Manager m;
+  struct Made {
+    int op;
+    ExprId x;
+    ExprId y;
+    ExprId id;
+  };
+  std::vector<Made> early;
+  util::Rng rng(99);
+  for (int i = 0; i < 500; ++i) {
+    const ExprId x = m.var(static_cast<std::uint32_t>(rng.next_below(40)));
+    const ExprId y = m.var(static_cast<std::uint32_t>(rng.next_below(40)));
+    const int op = static_cast<int>(rng.next_below(3));
+    const ExprId id = op == 0 ? m.mk_and2(x, m.mk_not(y))
+                      : op == 1 ? m.mk_or2(m.mk_not(x), y)
+                                : m.mk_not(m.mk_and2(x, y));
+    early.push_back({op, x, y, id});
+  }
+  const std::size_t before = m.n_nodes();
+  for (std::uint32_t i = 0; i < 200000; ++i) {
+    (void)m.mk_and2(m.var(1000 + i), m.var(1000 + i + 1));
+  }
+  ASSERT_GT(m.n_nodes(), before + 200000);
+  const std::size_t after = m.n_nodes();
+  for (const Made& made : early) {
+    const ExprId again = made.op == 0 ? m.mk_and2(made.x, m.mk_not(made.y))
+                         : made.op == 1 ? m.mk_or2(m.mk_not(made.x), made.y)
+                                        : m.mk_not(m.mk_and2(made.x, made.y));
+    EXPECT_EQ(again, made.id);
+  }
+  EXPECT_EQ(m.n_nodes(), after);  // nothing new was interned
+  EXPECT_EQ(m.mk_and2(m.var(1000), m.var(1001)), m.mk_and2(m.var(1001), m.var(1000)));
+  EXPECT_EQ(m.n_nodes(), after);
+}
+
+// --- epoch-stamped queries vs brute force --------------------------------------
+
+TEST(ExprQueries, AgreeWithBruteForceOnRandomDags) {
+  util::Rng rng(31337);
+  Manager m;  // one Manager across trials: scratch is reused throughout
+  // Sparse variable indices so var-indexed scratch has gaps.
+  const std::vector<std::uint32_t> vars{0, 3, 4, 9, 17, 18, 25, 40};
+  std::vector<ExprId> built;
+  for (int trial = 0; trial < 80; ++trial) {
+    std::vector<ExprId> pool;
+    const std::size_t n_leaves = 2 + rng.next_below(5);
+    for (std::size_t i = 0; i < n_leaves; ++i) {
+      pool.push_back(m.var(vars[rng.next_below(vars.size())]));
+    }
+    for (int step = 0; step < 12; ++step) {
+      const ExprId x = pool[rng.next_below(pool.size())];
+      const ExprId y = pool[rng.next_below(pool.size())];
+      const ExprId z = pool[rng.next_below(pool.size())];
+      switch (rng.next_below(5)) {
+        case 0:
+          pool.push_back(m.mk_and({x, y, z}));
+          break;
+        case 1:
+          pool.push_back(m.mk_or2(x, y));
+          break;
+        case 2:
+          pool.push_back(m.mk_xor2(x, y));
+          break;
+        case 3:
+          pool.push_back(m.negate(x));
+          break;
+        default:
+          pool.push_back(m.mk_not(x));
+          break;
+      }
+    }
+    const ExprId e = pool.back();
+    built.push_back(e);
+
+    // Brute-force structural support by recursion over children().
+    std::set<std::uint32_t> expected;
+    const std::function<void(ExprId)> walk = [&](ExprId id) {
+      if (m.kind(id) == Kind::kVar) expected.insert(m.var_index(id));
+      for (const ExprId c : m.children(id)) walk(c);
+    };
+    walk(e);
+    const std::vector<std::uint32_t> support = m.support(e);
+    EXPECT_EQ(support, std::vector<std::uint32_t>(expected.begin(), expected.end()));
+    EXPECT_EQ(m.support(e), support);  // repeat: same scratch, same answer
+
+    // Truth table over the full variable list (a superset of the support)
+    // and over the exact support, both against eval().
+    const TruthTable full = m.truth_table(e, vars);
+    const TruthTable exact = m.truth_table(e, support);
+    std::vector<std::uint8_t> assignment(vars.back() + 1, 0);
+    for (std::uint64_t row = 0; row < full.n_rows(); ++row) {
+      for (std::size_t j = 0; j < vars.size(); ++j) {
+        assignment[vars[j]] = static_cast<std::uint8_t>((row >> j) & 1);
+      }
+      const bool value = m.eval(e, assignment);
+      ASSERT_EQ(full.get(row), value) << "trial " << trial << " row " << row;
+      std::uint64_t exact_row = 0;
+      for (std::size_t j = 0; j < support.size(); ++j) {
+        exact_row |= std::uint64_t{assignment[support[j]]} << j;
+      }
+      ASSERT_EQ(exact.get(exact_row), value) << "trial " << trial;
+    }
+    EXPECT_EQ(m.truth_table(e, vars), full);
+
+    // equivalent() against pairwise brute-force comparison with every
+    // earlier expression (and with e's complement).
+    for (const ExprId other : built) {
+      bool same = true;
+      for (std::uint64_t row = 0; row < full.n_rows() && same; ++row) {
+        for (std::size_t j = 0; j < vars.size(); ++j) {
+          assignment[vars[j]] = static_cast<std::uint8_t>((row >> j) & 1);
+        }
+        same = m.eval(e, assignment) == m.eval(other, assignment);
+      }
+      EXPECT_EQ(m.equivalent(e, other), same) << "trial " << trial;
+    }
+    EXPECT_TRUE(m.complementary(e, m.mk_not(e)));
+    EXPECT_FALSE(m.equivalent(e, m.mk_not(e)));
+  }
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // submit -> finalize coverage), the hard determinism contract (solution
 // streams bit-identical with telemetry on and off), the plan-cache
 // compile-billing fix (compile_ms charged once, waiters billed as
-// cache_wait), and the chaos interplay (injected faults and retries appear
+// cache_wait), the cold compile's transform histogram, and the chaos interplay (injected faults and retries appear
 // as trace events named after their seam).
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "cnf/dimacs.hpp"
+#include "service/plan_cache.hpp"
 #include "service/server.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -418,6 +419,25 @@ TEST(TelemetryService, CompileBilledOnceWaitersBilledAsCacheWait) {
   const MetricSnapshot* hits = find_metric(snap, "hts_plan_cache_hits_total");
   ASSERT_NE(hits, nullptr);
   EXPECT_EQ(static_cast<std::uint64_t>(hits->value), cache.hits);
+}
+
+TEST(TelemetryService, ColdCompileRecordsItsTransformTime) {
+  {
+    TelemetryGuard guard(/*metrics=*/false, /*trace=*/false);
+    const service::CompiledPlan plan(small_formula(), {});
+    const MetricSnapshot* transform_ms =
+        find_metric(Registry::global().snapshot(), "hts_transform_ms");
+    EXPECT_TRUE(transform_ms == nullptr || transform_ms->count == 0);
+  }
+  TelemetryGuard guard(/*metrics=*/true, /*trace=*/false);
+  const service::CompiledPlan plan(small_formula(), {});
+  const std::vector<MetricSnapshot> snap = Registry::global().snapshot();
+  const MetricSnapshot* transform_ms = find_metric(snap, "hts_transform_ms");
+  ASSERT_NE(transform_ms, nullptr);
+  EXPECT_EQ(transform_ms->kind, MetricSnapshot::Kind::kHistogram);
+  EXPECT_EQ(transform_ms->count, 1u);
+  EXPECT_DOUBLE_EQ(transform_ms->sum, plan.transformed.stats.transform_ms);
+  EXPECT_LE(transform_ms->sum, plan.compile_ms);
 }
 
 TEST(TelemetryService, BackpressureStallIsMeasured) {

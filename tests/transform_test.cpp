@@ -2,10 +2,12 @@
 // signature recovery for every primary gate type, the paper's worked
 // examples (Eq. 5 MUX block, the Fig. 1 instance), under-specified blocks,
 // constant promotion, and randomized equisatisfiability round-trips against
-// brute-force enumeration.
+// brute-force enumeration.  A golden test pins the exact circuits the
+// benchmark instances transform to, so speedups cannot drift the output.
 
 #include <gtest/gtest.h>
 
+#include "benchgen/families.hpp"
 #include "circuit/tseitin.hpp"
 #include "cnf/dimacs.hpp"
 #include "solver/brute.hpp"
@@ -327,6 +329,81 @@ TEST(Transform, ScrambledClauseOrderStaysEquisatisfiable) {
     const Result r = transform_cnf(shuffled);
     if (!r.proven_unsat) expect_equisatisfiable(shuffled, r);
   }
+}
+
+// --- golden bit-identity on the benchmark families ------------------------------
+
+/// Structural hash of everything transform_cnf hands downstream: every
+/// signal's gate type, fanins and name; the output constraints; the
+/// var -> signal map; the roles and the input -> var map.  Any change of
+/// node creation order (which fixes fanin order) changes it.
+std::uint64_t fingerprint(const Result& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    h = (h ^ x) * 0x100000001b3ULL;
+    h ^= h >> 31;
+  };
+  const circuit::Circuit& c = r.circuit;
+  mix(c.n_signals());
+  for (circuit::SignalId s = 0; s < c.n_signals(); ++s) {
+    const circuit::Gate& gate = c.gate(s);
+    mix(static_cast<std::uint64_t>(gate.type));
+    mix(gate.fanins.size());
+    for (const circuit::SignalId f : gate.fanins) mix(f);
+    mix(c.name(s).size());
+    for (const char ch : c.name(s)) mix(static_cast<unsigned char>(ch));
+  }
+  mix(c.outputs().size());
+  for (const circuit::OutputConstraint& out : c.outputs()) {
+    mix(out.signal);
+    mix(out.target ? 1 : 0);
+  }
+  mix(r.var_signal.size());
+  for (const circuit::SignalId s : r.var_signal) mix(s);
+  mix(r.roles.size());
+  for (const VarRole role : r.roles) mix(static_cast<std::uint64_t>(role));
+  mix(r.input_vars.size());
+  for (const Var v : r.input_vars) mix(v);
+  return h;
+}
+
+struct Golden {
+  const char* instance;
+  std::uint64_t fingerprint;
+  std::uint64_t circuit_ops;
+};
+
+// Recorded on the transform before the simplify cover memo and the flat
+// unique table went in; both must leave every circuit bit-identical.
+// tape_engine's JSON records carry the same circuit_ops (CI cross-checks).
+constexpr Golden kGolden[] = {
+    {"75-10-1-q", 0x8d74c9d0e84dbdffULL, 245},
+    {"90-10-10-q", 0x547d7507658508a7ULL, 235},
+    {"or-50-10-7-UC-10", 0xc4c79162d8852b2aULL, 66},
+    {"or-100-20-8-UC-10", 0xcbc06f9000a7280bULL, 135},
+    {"s15850a_3_2", 0xf00d5b852a49f3d8ULL, 15827},
+    {"Prod-8", 0x1c4f9ffd0c35f704ULL, 35887},
+};
+
+TEST(TransformGolden, BenchmarkCircuitsAreBitIdentical) {
+  for (const Golden& golden : kGolden) {
+    SCOPED_TRACE(golden.instance);
+    const auto instance = benchgen::make_instance(golden.instance);
+    const Result r = transform_cnf(instance.formula);
+    EXPECT_EQ(fingerprint(r), golden.fingerprint)
+        << std::hex << "0x" << fingerprint(r) << std::dec;
+    EXPECT_EQ(r.stats.circuit_ops, golden.circuit_ops);
+  }
+}
+
+TEST(TransformGolden, SimplifyRunsQmOncePerDistinctFunction) {
+  // Prod-8's definitions repeat a handful of functions over different
+  // supports: QM runs only on cover-memo misses.
+  const auto instance = benchgen::make_instance("Prod-8");
+  const Result r = transform_cnf(instance.formula);
+  EXPECT_GT(r.stats.n_simplified, 10000u);
+  EXPECT_GE(r.stats.n_qm_minimized, 1u);
+  EXPECT_LE(r.stats.n_qm_minimized, 32u);
 }
 
 }  // namespace
