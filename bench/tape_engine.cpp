@@ -22,7 +22,11 @@
 // engine plan (run count, longest/mean run) ride along on every record, and
 // so do the instance's CNF->circuit transform time (`transform_ms`, one
 // timed transform_cnf call) and its extracted `circuit_ops`, so the
-// trajectory tracks the transform per commit.
+// trajectory tracks the transform per commit.  The engine's V draws ride
+// along the same way: `randomize_ms` (one Engine::randomize) and
+// `reseed_ms` (one rerandomize_rows over a fixed 40% row mask, the shape of
+// a solved-row restart), each the median of 7 calls on the default engine
+// configuration.
 //
 // The per-instance header reports the plan shape (level count, width
 // histogram): wide-but-shallow families are where `level` can beat the
@@ -86,6 +90,40 @@ ModeResult time_iterations(const prob::CompiledCircuit& compiled,
                                    result.elapsed_ms
                              : 0.0;
   return result;
+}
+
+struct DrawTiming {
+  double randomize_ms = 0.0;
+  double reseed_ms = 0.0;
+};
+
+/// Median wall time of Engine::randomize and of a re-draw of a fixed 40% of
+/// the rows, on the default (tile-parallel, fast-sigmoid) engine.
+DrawTiming time_draws(const prob::CompiledCircuit& compiled, std::size_t batch,
+                      std::uint64_t seed) {
+  prob::Engine::Config config;
+  config.batch = batch;
+  prob::Engine engine(compiled, config);
+  util::Rng rng(seed);
+  std::vector<std::uint64_t> mask(engine.n_words(), 0);
+  for (std::size_t r = 0; r < batch; ++r) {
+    if (rng.next_bool(0.4)) mask[r / 64] |= 1ULL << (r % 64);
+  }
+  engine.randomize(rng);  // page in the buffers
+  constexpr int kReps = 7;
+  std::vector<double> randomize_ms;
+  std::vector<double> reseed_ms;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const util::Timer randomize_timer;
+    engine.randomize(rng);
+    randomize_ms.push_back(randomize_timer.milliseconds());
+    const util::Timer reseed_timer;
+    (void)engine.rerandomize_rows(mask, rng);
+    reseed_ms.push_back(reseed_timer.milliseconds());
+  }
+  std::sort(randomize_ms.begin(), randomize_ms.end());
+  std::sort(reseed_ms.begin(), reseed_ms.end());
+  return {randomize_ms[kReps / 2], reseed_ms[kReps / 2]};
 }
 
 struct HarvestResult {
@@ -224,6 +262,10 @@ int main(int argc, char** argv) {
     };
     const double mean_width = plan_mean_width(plan);
 
+    const DrawTiming draws = time_draws(opt, batch, env.seed);
+    std::printf("%s: randomize %.2f ms, 40%% reseed %.2f ms (batch %zu)\n",
+                name.c_str(), draws.randomize_ms, draws.reseed_ms, batch);
+
     const ModeResult base =
         time_iterations(raw, batch, /*fast_sigmoid=*/false,
                         tensor::Policy::kSerial, budget_ms, env.seed);
@@ -272,6 +314,8 @@ int main(int argc, char** argv) {
           .field("batch", batch)
           .field("transform_ms", transform_ms)
           .field("circuit_ops", circuit_ops)
+          .field("randomize_ms", draws.randomize_ms)
+          .field("reseed_ms", draws.reseed_ms)
           .field("ops", row.compiled->n_ops())
           .field("slots", row.compiled->n_slots())
           .field("iterations", row.result->iterations)
@@ -351,6 +395,8 @@ int main(int argc, char** argv) {
           .field("batch", batch)
           .field("transform_ms", transform_ms)
           .field("circuit_ops", circuit_ops)
+          .field("randomize_ms", draws.randomize_ms)
+          .field("reseed_ms", draws.reseed_ms)
           .field("rows_validated", harvest_rows[h]->rows)
           .field("elapsed_ms", harvest_rows[h]->elapsed_ms)
           .field("harvest_rows_per_sec", harvest_rows[h]->rows_per_sec())

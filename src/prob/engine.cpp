@@ -243,31 +243,100 @@ std::size_t Engine::v_index(std::size_t input, std::size_t row) const {
          (row % kTileRows);
 }
 
+// V draws are counter-based: each randomize / rerandomize_rows call takes one
+// 64-bit Philox key from the caller's rng, and V of (tile, row, input) is
+// normal k of Philox4x32-10 at counter (input / 4, row, tile lo, tile hi),
+// k = input % 4 (words 0-1 and 2-3 each make one Box-Muller pair).  A value
+// depends on nothing but the key and its coordinates, so tiles fill in any
+// order on any thread, and a restart redraws only the flagged rows.  Lanes
+// are 8 flagged rows of one tile; a full group of adjacent rows stores one
+// vector per input, any other group scatters its lanes.
 void Engine::randomize(util::Rng& rng) {
-  for (std::size_t i = 0; i < v_.size(); ++i) {
-    v_[i] = static_cast<float>(rng.next_gaussian()) * config_.init_std;
-  }
+  draw_rows(nullptr, n_tiles_, rng.next_u64());
 }
 
 std::size_t Engine::rerandomize_rows(const std::vector<std::uint64_t>& mask,
                                      util::Rng& rng) {
-  const std::size_t n_inputs = compiled_->n_circuit_inputs();
-  std::size_t n_rows = 0;
   const std::size_t words = std::min(mask.size(), n_tiles_);
+  draw_rows(mask.data(), words, rng.next_u64());
+  std::size_t n_rows = 0;
   for (std::size_t t = 0; t < words; ++t) {
-    std::uint64_t bits = mask[t];
-    while (bits != 0) {
-      const auto r = static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      float* v = v_.data() + t * n_inputs * kTileRows + r;
-      for (std::size_t i = 0; i < n_inputs; ++i) {
-        v[i * kTileRows] =
-            static_cast<float>(rng.next_gaussian()) * config_.init_std;
-      }
-      ++n_rows;
-    }
+    n_rows += static_cast<std::size_t>(std::popcount(mask[t]));
   }
   return n_rows;
+}
+
+void Engine::draw_rows(const std::uint64_t* mask, std::size_t n_words,
+                       std::uint64_t key) {
+  // Captured through one pointer so the std::function below stores the
+  // lambda inline: the draw path allocates nothing.
+  struct Draw {
+    const std::uint64_t* mask;
+    std::uint64_t key;
+  } const draw{mask, key};
+  tensor::parallel_for(config_.policy, n_words,
+                       [this, &draw](std::size_t begin, std::size_t end) {
+                         for (std::size_t t = begin; t < end; ++t) {
+                           const std::uint64_t rows =
+                               draw.mask == nullptr ? ~0ULL : draw.mask[t];
+                           if (rows != 0) draw_tile(t, rows, draw.key);
+                         }
+                       });
+}
+
+void Engine::draw_tile(std::size_t tile, std::uint64_t rows,
+                       std::uint64_t key) {
+  using tensor::simd::u32x8;
+  // Lane rows of up to 8 groups; a short final group repeats its last row,
+  // whose extra lanes then recompute (and rewrite) that row's own values.
+  std::uint32_t lane_row[kTileRows / kStep][kStep];
+  bool adjacent[kTileRows / kStep];
+  std::size_t n_groups = 0;
+  while (rows != 0) {
+    std::uint32_t* lanes = lane_row[n_groups];
+    std::size_t n = 0;
+    for (; n < kStep && rows != 0; ++n) {
+      lanes[n] = static_cast<std::uint32_t>(std::countr_zero(rows));
+      rows &= rows - 1;
+    }
+    for (std::size_t j = n; j < kStep; ++j) lanes[j] = lanes[n - 1];
+    adjacent[n_groups++] =
+        n == kStep && lanes[kStep - 1] - lanes[0] == kStep - 1;
+  }
+
+  const std::size_t n_inputs = compiled_->n_circuit_inputs();
+  float* v = v_.data() + tile * n_inputs * kTileRows;
+  const f32x8 scale = broadcast(config_.init_std);
+  const u32x8 tile_lo = tensor::simd::broadcast_u32(
+      static_cast<std::uint32_t>(tile));
+  const u32x8 tile_hi = tensor::simd::broadcast_u32(
+      static_cast<std::uint32_t>(static_cast<std::uint64_t>(tile) >> 32));
+  const auto k0 = static_cast<std::uint32_t>(key);
+  const auto k1 = static_cast<std::uint32_t>(key >> 32);
+  for (std::size_t i0 = 0; i0 < n_inputs; i0 += 4) {
+    const u32x8 chunk =
+        tensor::simd::broadcast_u32(static_cast<std::uint32_t>(i0 / 4));
+    const std::size_t count = std::min<std::size_t>(4, n_inputs - i0);
+    for (std::size_t g = 0; g < n_groups; ++g) {
+      u32x8 ctr[4] = {chunk, tensor::simd::load_u32(lane_row[g]), tile_lo,
+                      tile_hi};
+      tensor::simd::philox4x32_10(ctr, k0, k1);
+      f32x8 z[4];
+      tensor::simd::box_muller(ctr[0], ctr[1], z[0], z[1]);
+      tensor::simd::box_muller(ctr[2], ctr[3], z[2], z[3]);
+      for (std::size_t k = 0; k < count; ++k) {
+        float* dst = v + (i0 + k) * kTileRows;
+        const f32x8 value = z[k] * scale;
+        if (adjacent[g]) {
+          store(dst + lane_row[g][0], value);
+          continue;
+        }
+        float out[kStep];
+        store(out, value);
+        for (std::size_t j = 0; j < kStep; ++j) dst[lane_row[g][j]] = out[j];
+      }
+    }
+  }
 }
 
 void Engine::pin_row_inputs(std::size_t row,
@@ -666,26 +735,34 @@ void Engine::forward_only() { sweep(/*with_grad=*/false); }
 
 void Engine::harden(std::vector<std::uint64_t>& packed_out) const {
   const std::size_t n = compiled_->n_circuit_inputs();
-  packed_out.assign(n * n_tiles_, 0);
-  for (std::size_t t = 0; t < n_tiles_; ++t) {
-    const float* v = v_.data() + t * n * kTileRows;
-    // Padding rows (>= batch) never escape into the packed words.
-    const std::size_t rows = std::min(kTileRows, config_.batch - t * kTileRows);
-    const std::uint64_t row_mask =
-        rows < 64 ? (1ULL << rows) - 1 : ~0ULL;
-    for (std::size_t i = 0; i < n; ++i) {
-      const float* v_row = v + i * kTileRows;
-      // Width-8 compare + movemask packing; the per-lane predicate is the
-      // scalar `v > 0` exactly (NaN and ±0 contribute 0 bits).
-      std::uint64_t word = 0;
-      for (std::size_t x = 0; x < kTileRows; x += kStep) {
-        word |= static_cast<std::uint64_t>(
-                    tensor::simd::movemask_gt_zero(load(v_row + x)))
-                << x;
+  packed_out.resize(n * n_tiles_);
+  std::uint64_t* packed = packed_out.data();
+  // Tile t writes only words i * n_tiles_ + t, so tiles pack in parallel
+  // into bit-identical output.
+  tensor::parallel_for(config_.policy, n_tiles_, [this, packed](
+                                                     std::size_t begin,
+                                                     std::size_t end) {
+    const std::size_t n = compiled_->n_circuit_inputs();
+    for (std::size_t t = begin; t < end; ++t) {
+      const float* v = v_.data() + t * n * kTileRows;
+      // Padding rows (>= batch) never escape into the packed words.
+      const std::size_t rows =
+          std::min(kTileRows, config_.batch - t * kTileRows);
+      const std::uint64_t row_mask = rows < 64 ? (1ULL << rows) - 1 : ~0ULL;
+      for (std::size_t i = 0; i < n; ++i) {
+        const float* v_row = v + i * kTileRows;
+        // Width-8 compare + movemask packing; the per-lane predicate is the
+        // scalar `v > 0` exactly (NaN and ±0 contribute 0 bits).
+        std::uint64_t word = 0;
+        for (std::size_t x = 0; x < kTileRows; x += kStep) {
+          word |= static_cast<std::uint64_t>(
+                      tensor::simd::movemask_gt_zero(load(v_row + x)))
+                  << x;
+        }
+        packed[i * n_tiles_ + t] = word & row_mask;
       }
-      packed_out[i * n_tiles_ + t] = word & row_mask;
     }
-  }
+  });
 }
 
 void Engine::row_losses(std::vector<float>& out) const {

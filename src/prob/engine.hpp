@@ -94,14 +94,22 @@ class Engine {
     return slot_biases_.size() + free_biases_.size();
   }
 
-  /// Draws fresh V ~ N(0, init_std^2) for every input and row.
+  /// Draws fresh V ~ N(0, init_std^2) for every input and row (padding
+  /// rows included); exactly rerandomize_rows with an all-ones mask.
   void randomize(util::Rng& rng);
 
   /// Redraws V (every input) for each row whose bit is set in `mask`
   /// (same word layout as harden(): bit r of word t is row 64t + r).
   /// Powers solved-row restarts: rows that already satisfied are re-seeded
   /// instead of re-descending a converged basin.  Returns the number of
-  /// rows redrawn.  Deterministic draw order: tile, then row, then input.
+  /// rows redrawn.
+  ///
+  /// Counter contract (both draws): each call consumes exactly one
+  /// rng.next_u64() as a Philox4x32-10 key, and V of (tile, row, input) is
+  /// a pure function of (key, tile, row, input) — Philox counter (input / 4,
+  /// row in tile, tile), then SIMD Box-Muller.  Values are therefore
+  /// bit-identical under every policy and thread count, whatever order the
+  /// tiles fill in.
   std::size_t rerandomize_rows(const std::vector<std::uint64_t>& mask,
                                util::Rng& rng);
 
@@ -191,6 +199,11 @@ class Engine {
     float weight = 1.0f;
   };
 
+  /// Draws V for the flagged rows of tiles [0, n_words) under `key`
+  /// (`mask` null: every row), tiles dispatched per config_.policy.
+  void draw_rows(const std::uint64_t* mask, std::size_t n_words,
+                 std::uint64_t key);
+  void draw_tile(std::size_t tile, std::uint64_t rows, std::uint64_t key);
   void process_tile(std::size_t tile, bool with_grad, double* loss_accum);
   void sweep(bool with_grad);
   void sweep_level(bool with_grad);

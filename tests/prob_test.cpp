@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "prob/compiled.hpp"
 #include "prob/engine.hpp"
@@ -527,6 +529,244 @@ TEST(Engine, RerandomizeRowsOnlyTouchesMaskedRows) {
       }
     }
   }
+}
+
+// --- counter-based V draws ------------------------------------------------------
+
+Circuit bare_inputs(std::size_t n_inputs) {
+  Circuit c;
+  for (std::size_t i = 0; i < n_inputs; ++i) (void)c.add_input();
+  return c;
+}
+
+/// An engine circuit of `n_inputs` bare inputs (no gates): V is all there is.
+struct DrawRig {
+  explicit DrawRig(std::size_t n_inputs)
+      : circuit(bare_inputs(n_inputs)), compiled(circuit) {}
+  Circuit circuit;
+  CompiledCircuit compiled;
+};
+
+/// Every V value of the engine, padding rows included, input-major.
+std::vector<float> all_v(const Engine& engine) {
+  std::vector<float> out;
+  const std::size_t rows = engine.n_words() * Engine::kTileRows;
+  for (std::size_t i = 0; i < engine.n_inputs(); ++i) {
+    for (std::size_t r = 0; r < rows; ++r) out.push_back(engine.v_value(i, r));
+  }
+  return out;
+}
+
+Engine::Config draw_config(std::size_t batch, tensor::Policy policy) {
+  Engine::Config config;
+  config.batch = batch;
+  config.policy = policy;
+  return config;
+}
+
+double correlation(const std::vector<double>& x, const std::vector<double>& y) {
+  const auto n = static_cast<double>(x.size());
+  double mx = 0.0;
+  double my = 0.0;
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    mx += x[k];
+    my += y[k];
+  }
+  mx /= n;
+  my /= n;
+  double sxy = 0.0;
+  double sxx = 0.0;
+  double syy = 0.0;
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    sxy += (x[k] - mx) * (y[k] - my);
+    sxx += (x[k] - mx) * (x[k] - mx);
+    syy += (y[k] - my) * (y[k] - my);
+  }
+  return sxy / std::sqrt(sxx * syy);
+}
+
+TEST(EngineDraw, BitIdenticalAcrossPolicies) {
+  // 37 inputs (not a multiple of the 4 per Philox call) over 1000 rows (a
+  // partial last tile); a full draw, then a scattered partial re-draw.
+  const DrawRig rig(37);
+  std::vector<std::uint64_t> mask(16);
+  util::Rng mask_rng(8);
+  for (std::uint64_t& word : mask) {
+    word = mask_rng.next_u64() & mask_rng.next_u64();
+  }
+  mask[3] = ~0ULL;  // one adjacent-rows tile
+  mask[4] = 0;
+  auto draw = [&](tensor::Policy policy) {
+    Engine engine(rig.compiled, draw_config(1000, policy));
+    util::Rng rng(41);
+    engine.randomize(rng);
+    std::vector<float> v = all_v(engine);
+    engine.rerandomize_rows(mask, rng);
+    const std::vector<float> redrawn = all_v(engine);
+    v.insert(v.end(), redrawn.begin(), redrawn.end());
+    return v;
+  };
+  const std::vector<float> serial = draw(tensor::Policy::kSerial);
+  EXPECT_EQ(serial, draw(tensor::Policy::kDataParallel));
+  EXPECT_EQ(serial, draw(tensor::Policy::kLevelParallel));
+}
+
+TEST(EngineDraw, RandomizeEqualsRerandomizeWithAllOnesMask) {
+  const DrawRig rig(9);
+  Engine full(rig.compiled, draw_config(200, tensor::Policy::kDataParallel));
+  Engine masked(rig.compiled, draw_config(200, tensor::Policy::kDataParallel));
+  util::Rng rng_a(17);
+  util::Rng rng_b(17);
+  full.randomize(rng_a);
+  EXPECT_EQ(masked.rerandomize_rows(
+                std::vector<std::uint64_t>(masked.n_words(), ~0ULL), rng_b),
+            masked.n_words() * Engine::kTileRows);
+  EXPECT_EQ(all_v(full), all_v(masked));
+}
+
+TEST(EngineDraw, RedrawnRowsMatchAFullDrawAndOthersStay) {
+  // Under one key, a flagged row gets exactly the values a full draw gives
+  // it, whatever else the mask holds; unflagged rows keep their V.  The
+  // masks cover short lane groups whose first and last rows are 7 apart,
+  // full adjacent groups, and scattered rows.
+  const DrawRig rig(11);
+  const std::vector<std::vector<std::uint64_t>> masks = {
+      {(1ULL << 0) | (1ULL << 7), 0xffULL << 8, 0},
+      {0x8000000000000081ULL, 0xff00ff00ff00ff00ULL, ~0ULL},
+      {0x0123456789abcdefULL, 0x00000000000000feULL, 1ULL << 63}};
+  for (const auto& mask : masks) {
+    Engine full(rig.compiled, draw_config(192, tensor::Policy::kDataParallel));
+    Engine part(rig.compiled, draw_config(192, tensor::Policy::kDataParallel));
+    for (std::size_t i = 0; i < 11; ++i) {
+      for (std::size_t r = 0; r < 192; ++r) part.set_v(i, r, 5.0f);
+    }
+    util::Rng rng_full(31);
+    util::Rng rng_part(31);
+    full.randomize(rng_full);
+    part.rerandomize_rows(mask, rng_part);
+    for (std::size_t r = 0; r < 192; ++r) {
+      const bool flagged = ((mask[r / 64] >> (r % 64)) & 1) != 0;
+      for (std::size_t i = 0; i < 11; ++i) {
+        ASSERT_EQ(part.v_value(i, r), flagged ? full.v_value(i, r) : 5.0f)
+            << "row " << r << " input " << i;
+      }
+    }
+  }
+}
+
+TEST(EngineDraw, EachCallConsumesExactlyOneRngWord) {
+  const DrawRig rig(5);
+  Engine engine(rig.compiled, draw_config(130, tensor::Policy::kDataParallel));
+  util::Rng rng(23);
+  util::Rng reference(23);
+  const std::vector<std::vector<std::uint64_t>> masks = {
+      {},                               // empty: still one key
+      {0, 0, 0},                        // no row flagged
+      {1ULL << 5, ~0ULL, 3},            // partial
+      {~0ULL, ~0ULL, ~0ULL, ~0ULL}};    // longer than n_words()
+  engine.randomize(rng);
+  (void)reference.next_u64();
+  EXPECT_EQ(rng.next_u64(), reference.next_u64());
+  for (const auto& mask : masks) {
+    engine.rerandomize_rows(mask, rng);
+    (void)reference.next_u64();
+    EXPECT_EQ(rng.next_u64(), reference.next_u64()) << mask.size();
+  }
+}
+
+TEST(EngineDraw, DrawsFollowTheConfiguredNormal) {
+  // 64 inputs x 16384 rows = 2^20 draws of N(0, init_std^2).
+  const DrawRig rig(64);
+  Engine::Config config = draw_config(16384, tensor::Policy::kDataParallel);
+  config.init_std = 2.0f;
+  Engine engine(rig.compiled, config);
+  util::Rng rng(2025);
+  engine.randomize(rng);
+  std::vector<double> z;
+  for (std::size_t i = 0; i < 64; ++i) {
+    for (std::size_t r = 0; r < 16384; ++r) {
+      z.push_back(engine.v_value(i, r) / config.init_std);
+    }
+  }
+  const auto n = static_cast<double>(z.size());
+  double mean = 0.0;
+  for (const double x : z) mean += x;
+  mean /= n;
+  double var = 0.0;
+  for (const double x : z) var += (x - mean) * (x - mean);
+  var /= n - 1.0;
+  // Four standard errors: 1/sqrt(n) for the mean, sqrt(2/n) for the
+  // variance of a unit normal.
+  EXPECT_NEAR(mean, 0.0, 4.0 / std::sqrt(n));
+  EXPECT_NEAR(var, 1.0, 4.0 * std::sqrt(2.0 / n));
+  // Kolmogorov-Smirnov against the standard normal CDF; 1.95 / sqrt(n) is
+  // the 0.1% critical value.
+  std::sort(z.begin(), z.end());
+  double ks = 0.0;
+  for (std::size_t k = 0; k < z.size(); ++k) {
+    const double cdf = 0.5 * std::erfc(-z[k] / std::sqrt(2.0));
+    ks = std::max({ks, cdf - static_cast<double>(k) / n,
+                   static_cast<double>(k + 1) / n - cdf});
+  }
+  EXPECT_LT(ks, 1.95 / std::sqrt(n));
+}
+
+TEST(EngineDraw, NeighboringDrawsAreUncorrelated) {
+  // 16 inputs x 65536 rows (1024 tiles): each neighbor relation below pairs
+  // at least 7 * 10^5 draws, so |r| < 0.01 is over eight standard errors.
+  constexpr std::size_t kInputs = 16;
+  constexpr std::size_t kRows = 65536;
+  const DrawRig rig(kInputs);
+  Engine engine(rig.compiled,
+                draw_config(kRows, tensor::Policy::kDataParallel));
+  util::Rng rng(77);
+  engine.randomize(rng);
+  const std::vector<float> first = all_v(engine);
+  engine.randomize(rng);
+  const std::vector<float> second = all_v(engine);
+  auto at = [&](const std::vector<float>& v, std::size_t input,
+                std::size_t row) {
+    return static_cast<double>(v[input * kRows + row]);
+  };
+  std::vector<double> x;
+  std::vector<double> y;
+  auto expect_uncorrelated = [&](const char* what) {
+    EXPECT_LT(std::fabs(correlation(x, y)), 0.01) << what;
+    x.clear();
+    y.clear();
+  };
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    for (std::size_t r = 0; r + 1 < kRows; ++r) {
+      x.push_back(at(first, i, r));
+      y.push_back(at(first, i, r + 1));
+    }
+  }
+  expect_uncorrelated("adjacent rows");
+  // Input lags 1-4 reach every word pairing inside one Philox call (4
+  // inputs) and the next call's first word.
+  for (std::size_t lag = 1; lag <= 4; ++lag) {
+    for (std::size_t i = 0; i + lag < kInputs; ++i) {
+      for (std::size_t r = 0; r < kRows; ++r) {
+        x.push_back(at(first, i, r));
+        y.push_back(at(first, i + lag, r));
+      }
+    }
+    expect_uncorrelated("inputs at distance 1-4");
+  }
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    for (std::size_t r = 0; r + Engine::kTileRows < kRows; ++r) {
+      x.push_back(at(first, i, r));
+      y.push_back(at(first, i, r + Engine::kTileRows));
+    }
+  }
+  expect_uncorrelated("adjacent tiles");
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    for (std::size_t r = 0; r < kRows; ++r) {
+      x.push_back(at(first, i, r));
+      y.push_back(at(second, i, r));
+    }
+  }
+  expect_uncorrelated("successive calls");
 }
 
 TEST(Engine, LossIdenticalAcrossPolicies) {

@@ -1,9 +1,12 @@
 // Tests for the width-8 SIMD layer: lane arithmetic must match scalar float
-// arithmetic bit for bit (the engine's exactness contract rides on it), and
-// fast_sigmoid must honor the error bounds documented in tensor/simd.hpp.
+// arithmetic bit for bit (the engine's exactness contract rides on it),
+// fast_sigmoid and the draw kernels (fast_log, fast_sincos_turns,
+// fast_sqrt) must honor the error bounds documented in tensor/simd.hpp, and
+// philox4x32_10 must reproduce the published known-answer vectors.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -151,6 +154,162 @@ TEST(Simd, FastSigmoidSaturatesCleanly) {
     EXPECT_GT(y, 0.0f) << x;
     EXPECT_LT(y, 1e-15f) << x;
     EXPECT_TRUE(std::isfinite(y)) << x;
+  }
+}
+
+// Relative error of fast_log over every 24-bit uniform the draws feed it
+// (k * 2^-24, k = 1 .. 2^24, eight per call) and a geometric sweep across
+// the normal range; the contract is 2^-22, measured 2^-23.5.
+TEST(Simd, FastLogHonorsDocumentedBound) {
+  constexpr double kRelBound = 0x1.0p-22;
+  auto check = [&](const float* x) {
+    const auto out = lanes(fast_log(load(x)));
+    for (std::size_t i = 0; i < kWidth; ++i) {
+      const double exact = std::log(static_cast<double>(x[i]));
+      const double err = std::fabs(out[i] - exact);
+      if (exact == 0.0) {
+        ASSERT_EQ(out[i], 0.0f) << "x = " << x[i];
+      } else {
+        ASSERT_LE(err, kRelBound * std::fabs(exact)) << "x = " << x[i];
+      }
+    }
+  };
+  float x[kWidth];
+  for (std::uint32_t k = 1; k <= (1u << 24); k += kWidth) {
+    for (std::size_t i = 0; i < kWidth; ++i) {
+      x[i] = static_cast<float>(k + i) * 0x1.0p-24f;
+    }
+    check(x);
+  }
+  double g = 1e-37;
+  while (g < 1e37) {
+    for (std::size_t i = 0; i < kWidth; ++i, g *= 1.0003) {
+      x[i] = static_cast<float>(g);
+    }
+    check(x);
+  }
+}
+
+// sin/cos of 2*pi*t on every 24-bit angle the draws use (t = k * 2^-24)
+// plus t = 1: absolute error <= 2^-22 (measured 2^-23.4), and the quarter
+// turns land on their exact axis values.
+TEST(Simd, FastSincosTurnsHonorsDocumentedBound) {
+  constexpr double kAbsBound = 0x1.0p-22;
+  float t[kWidth];
+  for (std::uint32_t k = 0; k <= (1u << 24); k += kWidth) {
+    for (std::size_t i = 0; i < kWidth; ++i) {
+      t[i] = static_cast<float>(std::min<std::uint32_t>(k + i, 1u << 24)) *
+             0x1.0p-24f;
+    }
+    f32x8 s;
+    f32x8 c;
+    fast_sincos_turns(load(t), s, c);
+    const auto so = lanes(s);
+    const auto co = lanes(c);
+    for (std::size_t i = 0; i < kWidth; ++i) {
+      const double angle = 2.0 * M_PI * static_cast<double>(t[i]);
+      ASSERT_NEAR(so[i], std::sin(angle), kAbsBound) << "t = " << t[i];
+      ASSERT_NEAR(co[i], std::cos(angle), kAbsBound) << "t = " << t[i];
+    }
+  }
+  const float quarters[kWidth] = {0.0f, 0.25f, 0.5f, 0.75f,
+                                  1.0f, 0.25f, 0.5f, 0.75f};
+  const float sin_axis[kWidth] = {0, 1, 0, -1, 0, 1, 0, -1};
+  const float cos_axis[kWidth] = {1, 0, -1, 0, 1, 0, -1, 0};
+  f32x8 s;
+  f32x8 c;
+  fast_sincos_turns(load(quarters), s, c);
+  const auto so = lanes(s);
+  const auto co = lanes(c);
+  for (std::size_t i = 0; i < kWidth; ++i) {
+    EXPECT_EQ(so[i], sin_axis[i]) << "t = " << quarters[i];
+    EXPECT_EQ(co[i], cos_axis[i]) << "t = " << quarters[i];
+  }
+}
+
+TEST(Simd, FastSqrtHonorsDocumentedBound) {
+  constexpr double kRelBound = 0x1.0p-21;
+  double g = 1e-37;
+  float x[kWidth];
+  while (g < 1e37) {
+    for (std::size_t i = 0; i < kWidth; ++i, g *= 1.0001) {
+      x[i] = static_cast<float>(g);
+    }
+    const auto out = lanes(fast_sqrt(load(x)));
+    for (std::size_t i = 0; i < kWidth; ++i) {
+      const double exact = std::sqrt(static_cast<double>(x[i]));
+      ASSERT_LE(std::fabs(out[i] - exact), kRelBound * exact) << "x = " << x[i];
+    }
+  }
+  EXPECT_EQ(lanes(fast_sqrt(broadcast(0.0f)))[0], 0.0f);
+  EXPECT_EQ(lanes(fast_sqrt(broadcast(-0.0f)))[0], 0.0f);
+}
+
+// Known-answer vectors of Philox4x32-10 from the Random123 distribution
+// (kat_vectors): counter, key, expected output.  Each vector runs in every
+// lane, next to a different counter in the odd lanes so lanes cannot leak
+// into each other.
+TEST(Simd, Philox4x32MatchesKnownAnswers) {
+  struct Kat {
+    std::uint32_t ctr[4];
+    std::uint32_t key[2];
+    std::uint32_t out[4];
+  };
+  const Kat kats[] = {
+      {{0, 0, 0, 0}, {0, 0}, {0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8}},
+      {{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff},
+       {0xffffffff, 0xffffffff},
+       {0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd}},
+      {{0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344},
+       {0xa4093822, 0x299f31d0},
+       {0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1}},
+  };
+  for (const Kat& kat : kats) {
+    u32x8 ctr[4];
+    for (std::size_t w = 0; w < 4; ++w) {
+      std::uint32_t words[kWidth];
+      for (std::size_t i = 0; i < kWidth; ++i) {
+        words[i] = i % 2 == 0 ? kat.ctr[w] : kat.ctr[w] ^ (0x9e3779b9u * i);
+      }
+      ctr[w] = load_u32(words);
+    }
+    philox4x32_10(ctr, kat.key[0], kat.key[1]);
+    for (std::size_t w = 0; w < 4; ++w) {
+      std::uint32_t words[kWidth];
+      store_u32(words, ctr[w]);
+      for (std::size_t i = 0; i < kWidth; i += 2) {
+        EXPECT_EQ(words[i], kat.out[w]) << "word " << w << " lane " << i;
+      }
+      EXPECT_NE(words[1], kat.out[w]) << "word " << w;
+    }
+  }
+}
+
+TEST(Simd, BoxMullerStaysFiniteAndBounded) {
+  // The extreme radius words: all-zero top bits give u = 2^-24 (the largest
+  // radius, sqrt(48 ln 2) ~ 5.77), all-one bits give u = 1 (radius 0).
+  const std::uint32_t radius_words[kWidth] = {0,          0xff,       0x100,
+                                              0x7fffffff, 0x80000000,
+                                              0xfffffeff, 0xffffff00,
+                                              0xffffffff};
+  const float max_radius = std::sqrt(48.0f * std::log(2.0f));
+  util::Rng rng(5);
+  for (int trial = 0; trial < 256; ++trial) {
+    std::uint32_t angle_words[kWidth];
+    for (std::uint32_t& word : angle_words) {
+      word = static_cast<std::uint32_t>(rng.next_u64());
+    }
+    f32x8 z0;
+    f32x8 z1;
+    box_muller(load_u32(radius_words), load_u32(angle_words), z0, z1);
+    const auto a = lanes(z0);
+    const auto b = lanes(z1);
+    for (std::size_t i = 0; i < kWidth; ++i) {
+      ASSERT_TRUE(std::isfinite(a[i]) && std::isfinite(b[i])) << i;
+      ASSERT_LE(std::hypot(a[i], b[i]), max_radius * (1.0f + 1e-6f)) << i;
+    }
+    EXPECT_EQ(a[kWidth - 1], 0.0f);
+    EXPECT_EQ(b[kWidth - 1], 0.0f);
   }
 }
 
