@@ -40,7 +40,7 @@ KNOWN_BENCHES = {
 # record of an instance repeats them, so they get one row per instance.
 INSTANCE_METRICS = {
     "tape_engine": ("transform_ms", "circuit_ops", "randomize_ms",
-                    "reseed_ms"),
+                    "reseed_ms", "engine_ctor_ms"),
 }
 # Fallback metric candidates for benches this script does not know yet.
 FALLBACK_METRICS = ("iters_per_sec", "sol_per_sec", "throughput", "elapsed_ms")

@@ -26,7 +26,9 @@
 // along the same way: `randomize_ms` (one Engine::randomize) and
 // `reseed_ms` (one rerandomize_rows over a fixed 40% row mask, the shape of
 // a solved-row restart), each the median of 7 calls on the default engine
-// configuration.
+// configuration.  So does `engine_ctor_ms`, the median of 7 constructions of
+// that engine (allocation plus the tile-parallel first touch of its
+// buffers), the per-call set-up every run_gd_loop call pays.
 //
 // The per-instance header reports the plan shape (level count, width
 // histogram): wide-but-shallow families are where `level` can beat the
@@ -124,6 +126,22 @@ DrawTiming time_draws(const prob::CompiledCircuit& compiled, std::size_t batch,
   std::sort(randomize_ms.begin(), randomize_ms.end());
   std::sort(reseed_ms.begin(), reseed_ms.end());
   return {randomize_ms[kReps / 2], reseed_ms[kReps / 2]};
+}
+
+/// Median wall time of constructing the default (tile-parallel) engine.
+double time_engine_ctor(const prob::CompiledCircuit& compiled,
+                        std::size_t batch) {
+  prob::Engine::Config config;
+  config.batch = batch;
+  constexpr int kReps = 7;
+  std::vector<double> ctor_ms;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const util::Timer timer;
+    const prob::Engine engine(compiled, config);
+    ctor_ms.push_back(timer.milliseconds());
+  }
+  std::sort(ctor_ms.begin(), ctor_ms.end());
+  return ctor_ms[kReps / 2];
 }
 
 struct HarvestResult {
@@ -263,8 +281,11 @@ int main(int argc, char** argv) {
     const double mean_width = plan_mean_width(plan);
 
     const DrawTiming draws = time_draws(opt, batch, env.seed);
-    std::printf("%s: randomize %.2f ms, 40%% reseed %.2f ms (batch %zu)\n",
-                name.c_str(), draws.randomize_ms, draws.reseed_ms, batch);
+    const double engine_ctor_ms = time_engine_ctor(opt, batch);
+    std::printf("%s: randomize %.2f ms, 40%% reseed %.2f ms, engine ctor "
+                "%.2f ms (batch %zu)\n",
+                name.c_str(), draws.randomize_ms, draws.reseed_ms,
+                engine_ctor_ms, batch);
 
     const ModeResult base =
         time_iterations(raw, batch, /*fast_sigmoid=*/false,
@@ -316,6 +337,7 @@ int main(int argc, char** argv) {
           .field("circuit_ops", circuit_ops)
           .field("randomize_ms", draws.randomize_ms)
           .field("reseed_ms", draws.reseed_ms)
+          .field("engine_ctor_ms", engine_ctor_ms)
           .field("ops", row.compiled->n_ops())
           .field("slots", row.compiled->n_slots())
           .field("iterations", row.result->iterations)
@@ -397,6 +419,7 @@ int main(int argc, char** argv) {
           .field("circuit_ops", circuit_ops)
           .field("randomize_ms", draws.randomize_ms)
           .field("reseed_ms", draws.reseed_ms)
+          .field("engine_ctor_ms", engine_ctor_ms)
           .field("rows_validated", harvest_rows[h]->rows)
           .field("elapsed_ms", harvest_rows[h]->elapsed_ms)
           .field("harvest_rows_per_sec", harvest_rows[h]->rows_per_sec())

@@ -6,9 +6,10 @@
 // UniqueBank) and the round-parallel path (one Harvester per worker, all
 // merging into a shared ShardedUniqueBank) run the identical
 // unpack -> evaluate -> mask -> project pipeline.  `Bank` only needs
-// insert(key), contains(key), size() and n_words(); uniqueness is decided
-// wherever the bank lives, so a worker's duplicate of another worker's
-// solution is rejected at the merge point, not after.
+// insert(key) and contains(key) on n_words()-word key pointers, size() and
+// n_words(); uniqueness is decided wherever the bank lives, so a worker's
+// duplicate of another worker's solution is rejected at the merge point,
+// not after.
 //
 // When a sampling set is active and HarvestMode::projected is set, the bank
 // key is the row's projection onto the set (bit k = set variable k) rather
@@ -26,10 +27,15 @@
 // solutions are bit-identical to the historical scalar eval64 walk under
 // every thread count (tests/harvest_diff_test.cpp pins this down).
 //
+// The accept phase builds the keys of all 64 rows of a solved word at once
+// by 64 x 64 bit-matrix transposes (util::transpose_rows) of the word's
+// input bits — or, for projected keys, of its projection stash — instead of
+// gathering each row's bits with strided loads.
+//
 // All scratch (evaluation slots, solved masks, projection words, the key
-// buffer) is per-instance and reused: after the first collect() of a given
-// batch shape, repeated harvests perform no heap allocation beyond what the
-// bank needs for genuinely new solutions.
+// buffers) is per-instance and reused: after the first collect() of a given
+// batch shape, repeated harvests perform no heap allocation beyond the
+// bank's geometric growth.
 
 #include <algorithm>
 #include <bit>
@@ -42,6 +48,8 @@
 #include "core/unique_bank.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
+#include "util/bit_matrix.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -109,21 +117,25 @@ class Harvester {
         plan_(plan),
         inline_eval_(inline_eval),
         mode_(mode),
-        // accept_row wants a full projected assignment only to store or
+        // store_row wants a full projected assignment only to store or
         // verify it; projected keying and the diversity probe additionally
         // need the sampling-set bits.  A keys-only full-assignment
         // configuration never reads the stash, so phase 1 can skip writing
         // (and allocating) it entirely.
         stash_all_(options.store_limit > 0 || options.verify_against_cnf),
-        key_((problem.circuit->n_inputs() + 63) / 64, 0) {
+        full_words_((problem.circuit->n_inputs() + 63) / 64),
+        full_keys_(64 * full_words_, 0) {
     // Projected keying without a set would collapse every solution onto one
     // empty key; treat it as full-assignment mode (harvest_mode_for never
-    // produces this, but direct constructions might).
-    if (problem_.sampling_set.empty()) {
-      mode_.projected = false;
-      mode_.probe_projections = false;
-    }
-    if (mode_.projected) proj_key_.assign(bank.n_words(), 0);
+    // produces this, but direct constructions might).  The diversity probe
+    // looks up projected keys, so it needs projected keying too.  Either
+    // way the bank must be as wide as the keys it will be handed.
+    if (problem_.sampling_set.empty()) mode_.projected = false;
+    if (!mode_.projected) mode_.probe_projections = false;
+    HTS_CHECK(bank.n_words() == (mode_.projected
+                                     ? (problem_.sampling_set.size() + 63) / 64
+                                     : full_words_));
+    if (mode_.projected) proj_keys_.assign(64 * bank.n_words(), 0);
     if (plan_ == nullptr) {
       owned_plan_ = std::make_unique<circuit::EvalPlan>(*problem.circuit);
       plan_ = owned_plan_.get();
@@ -279,21 +291,21 @@ class Harvester {
   [[nodiscard]] const std::vector<std::uint64_t>& banked_projection_mask() {
     dup_mask_.assign(last_n_words_, 0);
     if (!mode_.probe_projections) return dup_mask_;
-    const std::vector<cnf::Var>& set = problem_.sampling_set;
-    const std::size_t n_proj = problem_.var_signal->size();
+    const std::size_t key_words = bank_.n_words();
     for (std::size_t w = 0; w < last_n_words_; ++w) {
       const std::size_t rows_here =
           std::min<std::size_t>(64, last_batch_ - w * 64);
       std::uint64_t cand =
           (rows_here < 64 ? (1ULL << rows_here) - 1 : ~0ULL) & ~solved_mask_[w];
       if (cand == 0) continue;
-      const std::uint64_t* stash = proj_.data() + w * n_proj;
+      const std::uint64_t* keys = stash_proj_keys(w);
       std::uint64_t hit = 0;
       while (cand != 0) {
         const int r = std::countr_zero(cand);
         cand &= cand - 1;
-        build_proj_key(stash, static_cast<std::size_t>(r), set);
-        if (bank_.contains(proj_key_)) hit |= 1ULL << r;
+        if (bank_.contains(keys + static_cast<std::size_t>(r) * key_words)) {
+          hit |= 1ULL << r;
+        }
       }
       dup_mask_[w] = hit;
     }
@@ -345,19 +357,18 @@ class Harvester {
                                                             util::Rng& rng,
                                                             int tries) {
     if (!mode_.probe_projections) return nullptr;
-    const std::vector<cnf::Var>& set = problem_.sampling_set;
-    const std::size_t n_bits = set.size();
-    const std::size_t n_proj = problem_.var_signal->size();
-    build_proj_key(proj_.data() + w * n_proj, r, set);
-    fresh_key_.resize(proj_key_.size());
+    const std::size_t n_bits = problem_.sampling_set.size();
+    const std::size_t key_words = bank_.n_words();
+    const std::uint64_t* key = stash_proj_keys(w) + r * key_words;
+    fresh_key_.resize(key_words);
     for (int t = 0; t < tries; ++t) {
-      std::copy(proj_key_.begin(), proj_key_.end(), fresh_key_.begin());
+      std::copy(key, key + key_words, fresh_key_.begin());
       const int n_flips = 1 + t / 2;
       for (int f = 0; f < n_flips; ++f) {
         const std::size_t k = rng.next_below(n_bits);
         fresh_key_[k >> 6] ^= 1ULL << (k & 63);
       }
-      if (!bank_.contains(fresh_key_)) return fresh_key_.data();
+      if (!bank_.contains(fresh_key_.data())) return fresh_key_.data();
     }
     return nullptr;
   }
@@ -424,51 +435,57 @@ class Harvester {
   }
 
   /// Phase-2 core: accepts the solved rows serially in word order; returns
-  /// how many were new to the bank.
+  /// how many were new to the bank.  Each solved word's 64 row keys are
+  /// built at once, then its solved rows are banked in row order.
   std::size_t accept_words(const std::vector<std::uint64_t>& packed,
                            std::size_t n_words, std::size_t n_proj,
                            const std::uint64_t* solved_mask,
                            const std::uint64_t* proj, bool record_fresh) {
+    // The key buffers are about to hold this batch's words, not the probe's.
+    proj_keys_word_ = kNoWord;
+    const bool sink = record_fresh && fresh_sink_ != nullptr;
+    const std::size_t key_words = bank_.n_words();
     std::size_t fresh = 0;
     for (std::size_t w = 0; w < n_words; ++w) {
       std::uint64_t ok = solved_mask[w];
+      if (ok == 0) continue;
+      const std::uint64_t* stash = proj + w * n_proj;
+      bool full_built = !mode_.projected;
+      const std::uint64_t* keys = mode_.projected
+                                      ? build_proj_keys(stash)
+                                      : build_full_keys(packed, n_words, w);
       while (ok != 0) {
-        const int r = std::countr_zero(ok);
+        const auto r = static_cast<std::size_t>(std::countr_zero(ok));
         ok &= ok - 1;
-        fresh += accept_row(packed, n_words, n_proj, w,
-                            static_cast<std::size_t>(r), proj, record_fresh)
-                     ? 1
-                     : 0;
+        ++result_.n_valid;
+        const bool is_new = bank_.insert(keys + r * key_words);
+        if (is_new) ++fresh;
+        if (is_new && sink) {
+          // Amplification bases are always FULL input keys (the amplifier
+          // broadcasts them row-wise and flips input bits), independent of
+          // what the bank keys on.
+          if (!full_built) {
+            build_full_keys(packed, n_words, w);
+            full_built = true;
+          }
+          const std::uint64_t* full = full_keys_.data() + r * full_words_;
+          fresh_sink_->insert(fresh_sink_->end(), full, full + full_words_);
+        }
+        store_row(stash, n_proj, r, is_new);
       }
     }
     return fresh;
   }
 
-  bool accept_row(const std::vector<std::uint64_t>& packed, std::size_t n_words,
-                  std::size_t n_proj, std::size_t w, std::size_t r,
-                  const std::uint64_t* proj, bool record_fresh) {
-    ++result_.n_valid;
-    const std::uint64_t* stash = proj + w * n_proj;
-    bool is_new = false;
-    if (mode_.projected) {
-      build_proj_key(stash, r, problem_.sampling_set);
-      is_new = bank_.insert(proj_key_);
-    } else {
-      build_full_key(packed, n_words, w, r);
-      is_new = bank_.insert(key_);
-    }
-    if (is_new && record_fresh && fresh_sink_ != nullptr) {
-      // Amplification bases are always FULL input keys (the amplifier
-      // broadcasts them row-wise and flips input bits), independent of what
-      // the bank keys on.
-      if (mode_.projected) build_full_key(packed, n_words, w, r);
-      fresh_sink_->insert(fresh_sink_->end(), key_.begin(), key_.end());
-    }
-    if (!is_new && !options_.store_all_draws) return is_new;
-
+  /// Stores (and optionally verifies) row r's projected assignment, read
+  /// from its word's stash, per RunOptions::store_limit / store_all_draws /
+  /// verify_against_cnf.
+  void store_row(const std::uint64_t* stash, std::size_t n_proj,
+                 std::size_t r, bool is_new) {
+    if (!is_new && !options_.store_all_draws) return;
     const bool want_assignment = result_.solutions.size() < options_.store_limit ||
                                  (is_new && options_.verify_against_cnf);
-    if (!want_assignment) return is_new;
+    if (!want_assignment) return;
     cnf::Assignment assignment(n_proj, 0);
     for (cnf::Var v = 0; v < n_proj; ++v) {
       assignment[v] = static_cast<std::uint8_t>((stash[v] >> r) & 1ULL);
@@ -479,33 +496,41 @@ class Harvester {
     if (result_.solutions.size() < options_.store_limit) {
       result_.solutions.push_back(std::move(assignment));
     }
-    return is_new;
   }
 
-  /// Packs the full hardened input row (w, r) into key_ — the bank key in
-  /// full-assignment mode, and always the amplifier's base layout.
-  void build_full_key(const std::vector<std::uint64_t>& packed,
-                      std::size_t n_words, std::size_t w, std::size_t r) {
-    const std::size_t n_inputs = problem_.circuit->n_inputs();
-    std::fill(key_.begin(), key_.end(), 0);
-    for (std::size_t i = 0; i < n_inputs; ++i) {
-      if (((packed[i * n_words + w] >> r) & 1ULL) != 0) {
-        key_[i >> 6] |= (1ULL << (i & 63));
-      }
-    }
+  /// Packs the full hardened input rows of word w into full_keys_ (row r at
+  /// r * full_words_) and returns it — the bank keys in full-assignment
+  /// mode, and always the amplifier's base layout.
+  const std::uint64_t* build_full_keys(const std::vector<std::uint64_t>& packed,
+                                       std::size_t n_words, std::size_t w) {
+    const std::uint64_t* column = packed.data() + w;
+    util::transpose_rows(
+        problem_.circuit->n_inputs(),
+        [column, n_words](std::size_t i) { return column[i * n_words]; },
+        full_keys_.data());
+    return full_keys_.data();
   }
 
-  /// Packs row r's sampling-set bits out of a word stash into proj_key_:
-  /// bit k of the key is set variable set[k], so the key layout is a pure
-  /// function of the (sorted, deduplicated) set.
-  void build_proj_key(const std::uint64_t* stash, std::size_t r,
-                      const std::vector<cnf::Var>& set) {
-    std::fill(proj_key_.begin(), proj_key_.end(), 0);
-    for (std::size_t k = 0; k < set.size(); ++k) {
-      if (((stash[set[k]] >> r) & 1ULL) != 0) {
-        proj_key_[k >> 6] |= (1ULL << (k & 63));
-      }
-    }
+  /// Packs the sampling-set bits of one word's stash into proj_keys_ (row r
+  /// at r * bank n_words()) and returns it: bit k of a key is set variable
+  /// set[k], so the key layout is a pure function of the (sorted,
+  /// deduplicated) set.
+  const std::uint64_t* build_proj_keys(const std::uint64_t* stash) {
+    const cnf::Var* set = problem_.sampling_set.data();
+    util::transpose_rows(
+        problem_.sampling_set.size(),
+        [stash, set](std::size_t k) { return stash[set[k]]; },
+        proj_keys_.data());
+    return proj_keys_.data();
+  }
+
+  /// The projected keys of word w of the most recent collect()'s stash,
+  /// built once per word for the probe and propose_fresh_neighbor, which
+  /// both walk rows in word order.
+  const std::uint64_t* stash_proj_keys(std::size_t w) {
+    if (proj_keys_word_ == w) return proj_keys_.data();
+    proj_keys_word_ = w;
+    return build_proj_keys(proj_.data() + w * problem_.var_signal->size());
   }
 
   /// Whether phase 1 must write the projection stash at all.
@@ -524,10 +549,16 @@ class Harvester {
   /// Amplifier base buffer (see set_fresh_sink); null when amplification is
   /// off, and then never touched on the accept path.
   std::vector<std::uint64_t>* fresh_sink_ = nullptr;
-  /// Full-input key scratch, (n_inputs + 63) / 64 words.
-  std::vector<std::uint64_t> key_;
-  /// Projected key scratch, bank n_words() words; empty unless projected.
-  std::vector<std::uint64_t> proj_key_;
+  /// Words per full input key, (n_inputs + 63) / 64.
+  std::size_t full_words_;
+  /// Full-input keys of one word's 64 rows (row r at r * full_words_).
+  std::vector<std::uint64_t> full_keys_;
+  /// Projected keys of one word's 64 rows (row r at r * bank n_words());
+  /// empty unless projected.
+  std::vector<std::uint64_t> proj_keys_;
+  /// Word of proj_ whose keys proj_keys_ holds for the probe, or kNoWord.
+  static constexpr std::size_t kNoWord = ~std::size_t{0};
+  std::size_t proj_keys_word_ = kNoWord;
   std::vector<std::uint64_t> solved_mask_;
   /// Shape of the most recent collect(), for banked_projection_mask().
   std::size_t last_n_words_ = 0;

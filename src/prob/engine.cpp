@@ -201,10 +201,9 @@ Engine::Engine(const CompiledCircuit& compiled, Config config)
   HTS_CHECK(config_.batch > 0);
   n_tiles_ = (config_.batch + kTileRows - 1) / kTileRows;
   const std::size_t padded = n_tiles_ * kTileRows;
-  v_.resize(compiled_->n_circuit_inputs() * padded);
-  activations_.resize(compiled_->n_slots() * padded);
-  gradients_.resize(compiled_->n_slots() * padded);
-  v_grad_.resize(compiled_->n_circuit_inputs() * padded);
+  v_ = tensor::Buffer::uninitialized(compiled_->n_circuit_inputs() * padded);
+  activations_ = tensor::Buffer::uninitialized(compiled_->n_slots() * padded);
+  gradients_ = tensor::Buffer::uninitialized(compiled_->n_slots() * padded);
   tile_loss_.assign(n_tiles_, 0.0);
   // Resolve bias terms once: in-cone inputs become slot terms, cone-free
   // inputs become direct V-side terms.  Zero-weight and out-of-range
@@ -221,15 +220,30 @@ Engine::Engine(const CompiledCircuit& compiled, Config config)
           {static_cast<std::uint32_t>(slot), bias.target, bias.weight});
     }
   }
-  // Constant slots never change: fill once, per tile.
-  for (const CompiledCircuit::ConstSlot& c : compiled_->const_slots()) {
-    for (std::size_t t = 0; t < n_tiles_; ++t) {
-      float* row = activations_.data() +
-                   (t * compiled_->n_slots() + c.slot) * kTileRows;
-      std::fill(row, row + kTileRows, c.value);
-    }
-  }
+  // First touch: each tile zeroes its own V, activations and gradients and
+  // sets its constant slots (which never change afterwards), dispatched
+  // under the engine's policy — pages fault in on the threads that sweep
+  // the tiles, and a serial engine touches memory only on its own thread.
+  tensor::parallel_for(config_.policy, n_tiles_,
+                       [this](std::size_t begin, std::size_t end) {
+                         for (std::size_t t = begin; t < end; ++t) init_tile(t);
+                       });
   if (config_.policy == tensor::Policy::kLevelParallel) build_schedule();
+}
+
+void Engine::init_tile(std::size_t tile) {
+  const std::size_t n_inputs = compiled_->n_circuit_inputs();
+  const std::size_t n_slots = compiled_->n_slots();
+  float* v = v_.data() + tile * n_inputs * kTileRows;
+  float* act = activations_.data() + tile * n_slots * kTileRows;
+  float* grad = gradients_.data() + tile * n_slots * kTileRows;
+  std::fill(v, v + n_inputs * kTileRows, 0.0f);
+  std::fill(act, act + n_slots * kTileRows, 0.0f);
+  std::fill(grad, grad + n_slots * kTileRows, 0.0f);
+  for (const CompiledCircuit::ConstSlot& c : compiled_->const_slots()) {
+    float* row = act + static_cast<std::size_t>(c.slot) * kTileRows;
+    std::fill(row, row + kTileRows, c.value);
+  }
 }
 
 std::size_t Engine::act_index(std::uint32_t slot, std::size_t row) const {
@@ -814,16 +828,15 @@ void Engine::set_v(std::size_t input, std::size_t row, float value) {
 }
 
 std::size_t Engine::memory_bytes() const {
-  return (v_.size() + activations_.size() + gradients_.size() + v_grad_.size()) *
-         sizeof(float);
+  return (v_.size() + activations_.size() + gradients_.size()) * sizeof(float);
 }
 
 std::size_t Engine::predicted_bytes(const CompiledCircuit& compiled,
                                     std::size_t batch) {
   const std::size_t padded =
       (batch + kTileRows - 1) / kTileRows * kTileRows;
-  // v_ + v_grad_ (inputs) and activations_ + gradients_ (slots).
-  return (2 * compiled.n_circuit_inputs() + 2 * compiled.n_slots()) * padded *
+  // v_ (inputs) and activations_ + gradients_ (slots).
+  return (compiled.n_circuit_inputs() + 2 * compiled.n_slots()) * padded *
          sizeof(float);
 }
 

@@ -204,6 +204,9 @@ class Engine {
   void draw_rows(const std::uint64_t* mask, std::size_t n_words,
                  std::uint64_t key);
   void draw_tile(std::size_t tile, std::uint64_t rows, std::uint64_t key);
+  /// First touch of one tile's buffers: zeroes them and fills the constant
+  /// slots.
+  void init_tile(std::size_t tile);
   void process_tile(std::size_t tile, bool with_grad, double* loss_accum);
   void sweep(bool with_grad);
   void sweep_level(bool with_grad);
@@ -236,9 +239,6 @@ class Engine {
   tensor::Buffer v_;
   tensor::Buffer activations_;
   tensor::Buffer gradients_;
-  // Mirrors PyTorch's persistent V.grad allocation so memory_bytes() matches
-  // the substrate the paper measured; the fused update never reads it.
-  tensor::Buffer v_grad_;
   // Per-tile loss scratch, reduced in tile order after each dispatch — the
   // hot path never takes a lock, and the reduction order (hence the float
   // sum) is identical under every policy.

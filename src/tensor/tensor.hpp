@@ -8,11 +8,13 @@
 // execution).  Allocation is tracked byte-accurately so the Fig. 3 (right)
 // memory-vs-batch-size curve can be measured without nvidia-smi.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
-#include <vector>
+#include <memory>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -53,48 +55,66 @@ void record_free(std::int64_t bytes);
 }  // namespace detail
 
 /// A tracked, contiguous float buffer.  Deliberately minimal: the prob
-/// engine addresses it as a slot-major matrix (slot*batch + row) so the
-/// inner loops stream contiguous memory per operation.
+/// engine addresses it as a tiled matrix ([tile][slot][row-in-tile]) so each
+/// tile's working set is contiguous and the inner loops stream it per
+/// operation.
 class Buffer {
  public:
   Buffer() = default;
-  explicit Buffer(std::size_t n, float fill = 0.0f) { resize(n, fill); }
-
-  Buffer(const Buffer& other) : data_(other.data_) {
-    detail::record_alloc(static_cast<std::int64_t>(data_.capacity() * sizeof(float)));
+  explicit Buffer(std::size_t n, float fill = 0.0f) {
+    allocate(n);
+    std::fill(data(), data() + size_, fill);
   }
-  Buffer& operator=(const Buffer& other) {
+
+  /// n floats with indeterminate contents.  The owner writes every element
+  /// before reading it — the prob engine zero-fills tile by tile on the
+  /// threads that will sweep the tiles, so pages fault in where they are
+  /// used and in parallel.
+  [[nodiscard]] static Buffer uninitialized(std::size_t n) {
+    Buffer buffer;
+    buffer.allocate(n);
+    return buffer;
+  }
+
+  Buffer(const Buffer&) = delete;
+  Buffer& operator=(const Buffer&) = delete;
+  Buffer(Buffer&& other) noexcept
+      : data_(std::move(other.data_)), size_(std::exchange(other.size_, 0)) {}
+  Buffer& operator=(Buffer&& other) noexcept {
     if (this != &other) {
-      detail::record_free(static_cast<std::int64_t>(data_.capacity() * sizeof(float)));
-      data_ = other.data_;
-      detail::record_alloc(static_cast<std::int64_t>(data_.capacity() * sizeof(float)));
+      release();
+      data_ = std::move(other.data_);
+      size_ = std::exchange(other.size_, 0);
     }
     return *this;
   }
-  Buffer(Buffer&& other) noexcept = default;
-  Buffer& operator=(Buffer&& other) noexcept = default;
 
-  ~Buffer() {
-    detail::record_free(static_cast<std::int64_t>(data_.capacity() * sizeof(float)));
-  }
+  ~Buffer() { release(); }
 
-  void resize(std::size_t n, float fill = 0.0f) {
-    detail::record_free(static_cast<std::int64_t>(data_.capacity() * sizeof(float)));
-    data_.assign(n, fill);
-    data_.shrink_to_fit();
-    detail::record_alloc(static_cast<std::int64_t>(data_.capacity() * sizeof(float)));
-  }
-
-  void fill(float value) { std::fill(data_.begin(), data_.end(), value); }
-
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
-  [[nodiscard]] float* data() { return data_.data(); }
-  [[nodiscard]] const float* data() const { return data_.data(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] float* data() { return data_.get(); }
+  [[nodiscard]] const float* data() const { return data_.get(); }
   [[nodiscard]] float& operator[](std::size_t i) { return data_[i]; }
   [[nodiscard]] float operator[](std::size_t i) const { return data_[i]; }
 
  private:
-  std::vector<float> data_;
+  /// Replaces the storage with n uninitialized floats (new float[n]
+  /// default-initializes, i.e. leaves them untouched).
+  void allocate(std::size_t n) {
+    release();
+    data_.reset(new float[n]);
+    size_ = n;
+    detail::record_alloc(static_cast<std::int64_t>(size_ * sizeof(float)));
+  }
+
+  void release() {
+    detail::record_free(static_cast<std::int64_t>(size_ * sizeof(float)));
+    data_.reset();
+    size_ = 0;
+  }
+
+  std::unique_ptr<float[]> data_;
+  std::size_t size_ = 0;
 };
 
 // --- elementwise kernels ------------------------------------------------------

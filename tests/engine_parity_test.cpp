@@ -213,6 +213,46 @@ TEST_P(EngineParity, GdTrajectoryIsBitIdenticalAcrossAllPolicies) {
   }
 }
 
+// A fresh engine's buffers are first-touched tile by tile under its own
+// policy.  With no randomize(), V must read as all zeros, so every input
+// embeds to sigmoid(0) = 0.5 and every constant slot holds its value —
+// bit-identically whether the tiles were filled on one thread or on the
+// pool.
+TEST_P(EngineParity, FreshEngineIsZeroInitializedUnderEveryPolicy) {
+  const benchgen::Instance instance = benchgen::make_instance(GetParam());
+  const CompiledCircuit raw(instance.circuit,
+                            CompiledCircuit::Options{false, false});
+  const CompiledCircuit opt(instance.circuit);
+  for (const CompiledCircuit* compiled : {&raw, &opt}) {
+    Engine serial = make_engine(*compiled, /*fast_sigmoid=*/false);
+    Engine tiles = make_engine(*compiled, /*fast_sigmoid=*/false,
+                               tensor::Policy::kDataParallel);
+    serial.forward_only();
+    tiles.forward_only();
+    for (std::uint32_t slot = 0; slot < compiled->n_slots(); ++slot) {
+      for (std::size_t r = 0; r < kBatch; ++r) {
+        ASSERT_EQ(serial.activation(slot, r), tiles.activation(slot, r))
+            << GetParam() << " slot " << slot << " row " << r;
+      }
+    }
+    for (std::size_t i = 0; i < compiled->n_circuit_inputs(); ++i) {
+      const std::int32_t slot = compiled->input_slot()[i];
+      for (std::size_t r = 0; r < kBatch; ++r) {
+        ASSERT_EQ(tiles.v_value(i, r), 0.0f) << GetParam() << " input " << i;
+        if (slot == kNoSlot) continue;
+        ASSERT_EQ(tiles.activation(static_cast<std::uint32_t>(slot), r), 0.5f)
+            << GetParam() << " input " << i << " row " << r;
+      }
+    }
+    for (const CompiledCircuit::ConstSlot& c : compiled->const_slots()) {
+      for (std::size_t r = 0; r < kBatch; ++r) {
+        ASSERT_EQ(tiles.activation(c.slot, r), c.value) << GetParam();
+      }
+    }
+    EXPECT_EQ(serial.last_loss(), tiles.last_loss()) << GetParam();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllFamilies, EngineParity,
                          ::testing::Values("or-50-10-7-UC-10", "75-10-1-q",
                                            "s15850a_3_2", "Prod-8"),

@@ -21,6 +21,8 @@
 #include <cstdlib>
 #include <iterator>
 #include <new>
+#include <set>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -383,6 +385,188 @@ TEST(HarvestDiff, RepeatedHarvestsDoNotAllocate) {
   EXPECT_EQ(result.n_valid, 2 * valid_per_round);
   EXPECT_EQ(bank.size(), uniques)
       << "second collect must re-observe exactly the first round's keys";
+}
+
+// --- transposed accept-path keys ----------------------------------------------
+// The accept phase builds a solved word's 64 row keys with bit-matrix
+// transposes.  These tests pin them against scalar per-row packing — bank
+// membership and size, the diversity probe, and the full keys handed to the
+// amplifier's fresh sink in bank-insertion order — across key widths that
+// straddle the 64-bit block edges, on a batch that is not a multiple of 64.
+
+/// Row g's bits over `bits` (input indices), packed bit k <- input bits[k]:
+/// the scalar reference for full keys (bits = 0..n-1) and projected keys.
+std::vector<std::uint64_t> scalar_key(const std::vector<std::uint64_t>& packed,
+                                      std::size_t n_words, std::size_t g,
+                                      const std::vector<std::size_t>& bits) {
+  std::vector<std::uint64_t> key((bits.size() + 63) / 64, 0);
+  for (std::size_t k = 0; k < bits.size(); ++k) {
+    if (((packed[bits[k] * n_words + g / 64] >> (g % 64)) & 1ULL) != 0) {
+      key[k / 64] |= 1ULL << (k % 64);
+    }
+  }
+  return key;
+}
+
+struct TransposeCase {
+  std::size_t n_inputs;
+  bool projected;
+  bool store;
+};
+
+class TransposedKeys : public ::testing::TestWithParam<TransposeCase> {};
+
+TEST_P(TransposedKeys, MatchScalarRowPacking) {
+  const TransposeCase tc = GetParam();
+  const std::size_t n = tc.n_inputs;
+  // Output: OR of three inputs (repeats allowed), so about 1/8 of the rows
+  // stay unsolved and the solved masks are ragged.
+  circuit::Circuit c;
+  std::vector<circuit::SignalId> ins;
+  for (std::size_t i = 0; i < n; ++i) ins.push_back(c.add_input());
+  const std::vector<std::size_t> or_inputs = {0, n / 2, n - 1};
+  c.add_output(c.add_gate(circuit::GateType::kOr,
+                          {ins[or_inputs[0]], ins[or_inputs[1]],
+                           ins[or_inputs[2]]}),
+               true);
+  const std::vector<circuit::SignalId> var_signal = c.inputs();
+
+  std::vector<std::size_t> all(n);
+  for (std::size_t i = 0; i < n; ++i) all[i] = i;
+  sampler::GdProblem problem;
+  problem.circuit = &c;
+  problem.var_signal = &var_signal;
+  std::vector<std::size_t> key_bits = all;
+  sampler::HarvestMode mode;
+  if (tc.projected) {
+    // Every third variable plus the last: a set whose width crosses the
+    // same block edges at a different phase than the inputs.
+    key_bits.clear();
+    for (std::size_t v = 0; v < n; v += 3) key_bits.push_back(v);
+    if (key_bits.back() != n - 1) key_bits.push_back(n - 1);
+    for (const std::size_t v : key_bits) {
+      problem.sampling_set.push_back(static_cast<cnf::Var>(v));
+    }
+    mode.projected = true;
+    mode.probe_projections = true;
+  }
+  const cnf::Formula formula;  // never consulted: verify_against_cnf off
+  sampler::RunOptions options;
+  options.store_limit = tc.store ? (1u << 20) : 0;
+  sampler::RunResult result;
+  sampler::UniqueBank bank(key_bits.size());
+  sampler::Harvester<sampler::UniqueBank> harvester(
+      problem, formula, options, bank, result, nullptr, false, mode);
+  std::vector<std::uint64_t> sink;
+  harvester.set_fresh_sink(&sink);
+
+  constexpr std::size_t kBatch = 5 * 64 + 37;
+  constexpr std::size_t kWords = (kBatch + 63) / 64;
+  util::Rng rng(1000 + n);
+  std::set<std::vector<std::uint64_t>> reference;
+  std::vector<std::uint64_t> expected_sink;
+  std::size_t expected_valid = 0;
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::uint64_t> packed = random_words(rng, n * kWords);
+    // Few distinct rows on narrow keys: duplicates within and across
+    // rounds exercise the bank's rejects too.
+    if (n == 1 && round == 1) packed.assign(packed.size(), ~0ULL);
+    // Padding rows are zero, as Engine::harden leaves them.
+    for (std::size_t i = 0; i < n; ++i) {
+      packed[i * kWords + kWords - 1] &= (1ULL << (kBatch % 64)) - 1;
+    }
+    sink.clear();
+    expected_sink.clear();
+    std::vector<bool> solved(kBatch);
+    for (std::size_t g = 0; g < kBatch; ++g) {
+      for (const std::size_t i : or_inputs) {
+        solved[g] =
+            solved[g] || ((packed[i * kWords + g / 64] >> (g % 64)) & 1ULL);
+      }
+      if (!solved[g]) continue;
+      ++expected_valid;
+      if (reference.insert(scalar_key(packed, kWords, g, key_bits)).second) {
+        const std::vector<std::uint64_t> full =
+            scalar_key(packed, kWords, g, all);
+        expected_sink.insert(expected_sink.end(), full.begin(), full.end());
+      }
+    }
+    harvester.collect(packed, kWords, kBatch);
+
+    EXPECT_EQ(result.n_valid, expected_valid);
+    EXPECT_EQ(bank.size(), reference.size());
+    for (const std::vector<std::uint64_t>& key : reference) {
+      ASSERT_TRUE(bank.contains(key));
+    }
+    ASSERT_EQ(sink, expected_sink) << "fresh-sink full keys, round " << round;
+    if (!tc.projected) continue;
+    // The probe flags exactly the unsolved rows whose projection is banked.
+    const std::vector<std::uint64_t>& flagged =
+        harvester.banked_projection_mask();
+    for (std::size_t g = 0; g < kBatch; ++g) {
+      const bool expect =
+          !solved[g] &&
+          reference.count(scalar_key(packed, kWords, g, key_bits)) != 0;
+      ASSERT_EQ(((flagged[g / 64] >> (g % 64)) & 1ULL) != 0, expect)
+          << "row " << g;
+    }
+  }
+}
+
+std::vector<TransposeCase> transpose_cases() {
+  std::vector<TransposeCase> cases;
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u, 600u}) {
+    for (const bool projected : {false, true}) {
+      for (const bool store : {false, true}) {
+        cases.push_back({n, projected, store});
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, TransposedKeys, ::testing::ValuesIn(transpose_cases()),
+    [](const ::testing::TestParamInfo<TransposeCase>& info) {
+      return std::to_string(info.param.n_inputs) +
+             (info.param.projected ? "_projected" : "_full") +
+             (info.param.store ? "_store" : "_keys");
+    });
+
+// Banking new solutions allocates only when the bank's two arrays grow
+// geometrically — never once per key.
+TEST(HarvesterAllocations, FreshKeysAllocateOnlyOnBankGrowth) {
+  circuit::Circuit c;
+  std::vector<circuit::SignalId> ins;
+  for (int i = 0; i < 100; ++i) ins.push_back(c.add_input());
+  c.add_output(c.add_gate(circuit::GateType::kOr, {ins[0], ins[99]}), true);
+  const std::vector<circuit::SignalId> var_signal = c.inputs();
+  sampler::GdProblem problem;
+  problem.circuit = &c;
+  problem.var_signal = &var_signal;
+  const cnf::Formula formula;
+  sampler::RunOptions options;
+  options.store_limit = 0;
+  sampler::RunResult result;
+  sampler::UniqueBank bank(c.n_inputs());
+  // Inline evaluation: no pool dispatch, so every allocation is the bank's.
+  sampler::Harvester<sampler::UniqueBank> harvester(
+      problem, formula, options, bank, result, nullptr, /*inline_eval=*/true);
+
+  constexpr std::size_t kWords = 64;  // 4096 rows, ~3000 solved
+  util::Rng rng(5);
+  harvester.collect(random_words(rng, c.n_inputs() * kWords), kWords,
+                    64 * kWords);
+  const std::vector<std::uint64_t> fresh =
+      random_words(rng, c.n_inputs() * kWords);
+  const std::size_t before_size = bank.size();
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  harvester.collect(fresh, kWords, 64 * kWords);
+  const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  ASSERT_GT(bank.size() - before_size, 2000u);
+  // Doubling from ~3000 to ~6000 keys is one or two growths, each a new
+  // slot array plus an arena reserve.
+  EXPECT_LE(after - before, 4u);
 }
 
 }  // namespace
