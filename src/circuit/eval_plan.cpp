@@ -121,8 +121,8 @@ EvalPlan::EvalPlan(const Circuit& circuit) {
     }
   }
 
-  // ---- levelize: ASAP levels over the slot dependency DAG (shared rule,
-  // util/plan_order.hpp), then an opcode sort inside each level so
+  // ---- levelize: ASAP levels over the slot dependency DAG, then an opcode
+  // sort inside each level (shared rules, util/plan_order.hpp) so
   // same-opcode ops sit contiguously — the run-length dispatch below
   // executes one switch per run, not per op.  Ops of one level are mutually
   // independent, so any within-level order is exact.
@@ -136,17 +136,12 @@ EvalPlan::EvalPlan(const Circuit& circuit) {
         return lvl;
       },
       [&dst](std::size_t i) { return dst[i]; });
+  util::sort_levels_by_opcode(levels, [&op](std::uint32_t i) {
+    return static_cast<std::uint8_t>(op[i]);
+  });
   const auto n_levels = static_cast<std::uint32_t>(levels.n_levels());
   const std::vector<std::uint32_t>& level_begin = levels.level_begin;
-  std::vector<std::uint32_t>& order = levels.order;
-  for (std::uint32_t l = 0; l < n_levels; ++l) {
-    std::stable_sort(order.begin() + level_begin[l],
-                     order.begin() + level_begin[l + 1],
-                     [&op](std::uint32_t x, std::uint32_t y) {
-                       return static_cast<std::uint8_t>(op[x]) <
-                              static_cast<std::uint8_t>(op[y]);
-                     });
-  }
+  const std::vector<std::uint32_t>& order = levels.order;
 
   op_.resize(n);
   dst_.resize(n);

@@ -24,16 +24,12 @@ namespace hts::prob {
 // switches off.  The library builds with -ffp-contract=off so fused ops
 // (kAndNot = 1 - a*b, ...) round exactly like their two-op expansions.
 //
-// Two sweep drivers share the opcode-batched kernels below:
-//   - the per-tile driver (kSerial / kDataParallel) walks the whole plan
-//     linearly inside each tile, parallelizing across tiles only;
-//   - the level driver (kLevelParallel) walks the same plan stage by stage,
-//     splitting wide levels into (tile x op-range) work items so parallelism
-//     also scales with level width.
-// Every policy executes the identical plan-order float sequence (forward in
-// plan order, backward in reverse plan order), so *all* results — forward
-// activations, loss, gradients, and V after descent — are bit-identical
-// across policies and thread counts.
+// One sweep serves every policy: it walks the whole plan linearly
+// inside each tile (forward in plan order, backward in reverse plan order)
+// and parallelizes across tiles only (kSerial runs the tiles on the calling
+// thread, kDataParallel across the pool).  Each batch row is an independent
+// problem, so *all* results — forward activations, loss, gradients, and V
+// after descent — are bit-identical across policies and thread counts.
 //
 // Kernel dispatch is run-batched: the plan clusters same-opcode ops into
 // runs (ExecPlan::run_begin), and a sweep switches on the opcode once per
@@ -228,7 +224,6 @@ Engine::Engine(const CompiledCircuit& compiled, Config config)
                        [this](std::size_t begin, std::size_t end) {
                          for (std::size_t t = begin; t < end; ++t) init_tile(t);
                        });
-  if (config_.policy == tensor::Policy::kLevelParallel) build_schedule();
 }
 
 void Engine::init_tile(std::size_t tile) {
@@ -515,218 +510,46 @@ void Engine::update_tile(std::size_t tile) {
   }
 }
 
-// One full pass over a tile: the per-tile driver for kSerial and
-// kDataParallel.  Walks the ExecPlan linearly (forward) and in reverse
-// (backward) — the same op order the level driver executes stage by stage —
-// through the run-batched kernels, so every policy computes bit-identical
-// results.
+// One full pass over a tile: embed, the ExecPlan forward in plan order, the
+// loss, then backward in reverse plan order and the update.  Tiles are
+// independent, so every policy computes bit-identical results.
 void Engine::process_tile(std::size_t tile, bool with_grad, double* loss_accum) {
-  const auto n_ops = static_cast<std::uint32_t>(compiled_->plan().n_ops());
-
   embed_tile(tile);
-  forward_range(tile, 0, n_ops);
+  forward_tile(tile);
 
   // Loss (optional, over valid rows only).
   if (loss_accum != nullptr) *loss_accum = tile_loss(tile);
   if (!with_grad) return;
 
   seed_gradients(tile);
-  backward_range(tile, 0, n_ops);
+  backward_tile(tile);
   update_tile(tile);
 }
 
-void Engine::forward_range(std::size_t tile, std::uint32_t begin,
-                           std::uint32_t end) {
+void Engine::forward_tile(std::size_t tile) {
   const ExecPlan& plan = compiled_->plan();
   float* act = activations_.data() + tile * compiled_->n_slots() * kTileRows;
-  // Locate the run containing `begin`, then dispatch once per (clamped) run.
   const auto& rb = plan.run_begin;
-  auto k = static_cast<std::size_t>(
-      std::upper_bound(rb.begin(), rb.end(), begin) - rb.begin() - 1);
-  for (std::uint32_t i = begin; i < end; ++k) {
-    const std::uint32_t run_end = std::min(rb[k + 1], end);
-    forward_run(plan.op[i], plan, i, run_end, act);
-    i = run_end;
+  for (std::size_t k = 0; k < plan.n_runs(); ++k) {
+    forward_run(plan.op[rb[k]], plan, rb[k], rb[k + 1], act);
   }
 }
 
-void Engine::backward_range(std::size_t tile, std::uint32_t begin,
-                            std::uint32_t end) {
-  if (begin == end) return;
+void Engine::backward_tile(std::size_t tile) {
   const ExecPlan& plan = compiled_->plan();
   const std::size_t n_slots = compiled_->n_slots();
   const float* act = activations_.data() + tile * n_slots * kTileRows;
   float* grad = gradients_.data() + tile * n_slots * kTileRows;
-  // Reverse walk, run by run: a range fused over several levels unwinds them
-  // in level order, each run unwinds its ops in reverse plan order, and a
-  // single-level range accumulates shared-operand gradients in a fixed
-  // (hence deterministic) order — the exact op-by-op reverse sequence.
+  // Runs unwind last to first and each run unwinds its ops in reverse plan
+  // order: the exact op-by-op reverse sequence, so shared-operand gradients
+  // accumulate in a fixed (hence deterministic) order.
   const auto& rb = plan.run_begin;
-  auto k = static_cast<std::size_t>(
-      std::upper_bound(rb.begin(), rb.end(), end - 1) - rb.begin() - 1);
-  for (std::uint32_t i = end; i > begin; --k) {
-    const std::uint32_t run_begin = std::max(rb[k], begin);
-    backward_run(plan.op[run_begin], plan, run_begin, i, act, grad);
-    i = run_begin;
+  for (std::size_t k = plan.n_runs(); k-- > 0;) {
+    backward_run(plan.op[rb[k]], plan, rb[k], rb[k + 1], act, grad);
   }
-}
-
-// Stage formation: a level at least kSplitWidth ops wide becomes its own
-// stage with ~kChunkOps-sized intra-tile chunks (backward chunks respect the
-// plan's operand-disjoint groups); runs of narrower levels fuse into one
-// per-tile stage, so a deep chain of tiny levels costs one dispatch instead
-// of one barrier per level.  Chunk boundaries depend only on the plan, never
-// on the thread count, so results are machine-independent.
-void Engine::build_schedule() {
-  constexpr std::uint32_t kChunkOps = 128;
-  constexpr std::uint32_t kSplitWidth = 2 * kChunkOps;
-  const ExecPlan& plan = compiled_->plan();
-  schedule_.clear();
-
-  auto flush_run = [this](std::uint32_t begin, std::uint32_t end) {
-    if (begin == end) return;
-    Stage stage;
-    stage.fwd.emplace_back(begin, end);
-    stage.bwd.emplace_back(begin, end);
-    stage.n_ops = end - begin;
-    schedule_.push_back(std::move(stage));
-  };
-
-  std::uint32_t pending = 0;
-  for (std::size_t l = 0; l < plan.n_levels(); ++l) {
-    const std::uint32_t lb = plan.level_begin[l];
-    const std::uint32_t le = plan.level_begin[l + 1];
-    const std::uint32_t width = le - lb;
-    if (width < kSplitWidth) continue;  // joins the pending fused run
-    flush_run(pending, lb);
-    pending = le;
-
-    Stage stage;
-    stage.n_ops = width;
-    const std::uint32_t n_chunks = (width + kChunkOps - 1) / kChunkOps;
-    for (std::uint32_t c = 0; c < n_chunks; ++c) {
-      const auto b = static_cast<std::uint32_t>(
-          lb + static_cast<std::uint64_t>(width) * c / n_chunks);
-      const auto e = static_cast<std::uint32_t>(
-          lb + static_cast<std::uint64_t>(width) * (c + 1) / n_chunks);
-      if (b < e) stage.fwd.emplace_back(b, e);
-    }
-    // Backward chunks: greedily merge whole groups up to ~kChunkOps ops.
-    std::uint32_t chunk_begin = lb;
-    for (std::uint32_t g = plan.level_group[l]; g < plan.level_group[l + 1];
-         ++g) {
-      const std::uint32_t group_end = plan.group_begin[g + 1];
-      if (group_end - chunk_begin >= kChunkOps) {
-        stage.bwd.emplace_back(chunk_begin, group_end);
-        chunk_begin = group_end;
-      }
-    }
-    if (chunk_begin < le) stage.bwd.emplace_back(chunk_begin, le);
-    schedule_.push_back(std::move(stage));
-  }
-  if (!plan.level_begin.empty()) flush_run(pending, plan.level_begin.back());
-}
-
-void Engine::dispatch_stage(const Stage& stage, bool backward) {
-  const auto& chunks = backward ? stage.bwd : stage.fwd;
-  if (chunks.empty()) return;
-  const std::size_t n_chunks = chunks.size();
-  const std::size_t items = n_tiles_ * n_chunks;
-  auto run_item = [&](std::size_t item) {
-    const std::size_t tile = item / n_chunks;
-    const auto& range = chunks[item % n_chunks];
-    if (backward) {
-      backward_range(tile, range.first, range.second);
-    } else {
-      forward_range(tile, range.first, range.second);
-    }
-  };
-  // A single-thread pool cannot overlap work and only adds wakeup latency
-  // per stage; tiny stages never amortize the dispatch either.
-  const bool inline_run = items == 1 ||
-                          util::ThreadPool::global().size() <= 1 ||
-                          static_cast<std::size_t>(stage.n_ops) * n_tiles_ < 1024;
-  if (inline_run) {
-    for (std::size_t i = 0; i < items; ++i) run_item(i);
-    return;
-  }
-  util::ThreadPool::global().parallel_for(
-      items, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) run_item(i);
-      });
-}
-
-// Level-synchronous sweep: embed all tiles, run the forward stages in plan
-// order, then (for GD iterations) seed gradients, run the stages reversed,
-// and apply the update — each phase one data-parallel dispatch.  Per-op
-// float sequences match the per-tile driver exactly, so forward activations
-// and the loss are bit-identical across policies.
-void Engine::sweep_level(bool with_grad) {
-  const bool want_loss = config_.compute_loss || !with_grad;
-  // A 1-thread pool gains nothing from level-major sweeps but still pays
-  // their cache cost (every stage streams all tiles).  Walk the plan
-  // tile-major instead: stages and chunks partition the plan in order, so a
-  // linear forward walk and a linear reverse backward walk execute the same
-  // per-op float sequences with identical per-slot accumulation order —
-  // bit-identical to the stage-major dispatch (which tests pin down via
-  // Config::force_level_stages).
-  if (util::ThreadPool::global().size() <= 1 && !config_.force_level_stages) {
-    // Identical to the per-tile driver: stages and chunks partition the plan
-    // in order, so the tile-major walk and the stage-major dispatch execute
-    // the same per-op float sequences with identical accumulation order.
-    for (std::size_t t = 0; t < n_tiles_; ++t) {
-      process_tile(t, with_grad, want_loss ? &tile_loss_[t] : nullptr);
-    }
-    if (want_loss) {
-      double total_loss = 0.0;
-      for (const double loss : tile_loss_) total_loss += loss;
-      last_loss_ = total_loss;
-    }
-    return;
-  }
-  tensor::parallel_for(config_.policy, n_tiles_,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t t = begin; t < end; ++t) {
-                           embed_tile(t);
-                         }
-                       });
-  for (const Stage& stage : schedule_) dispatch_stage(stage, /*backward=*/false);
-  if (want_loss) {
-    tensor::parallel_for(config_.policy, n_tiles_,
-                         [&](std::size_t begin, std::size_t end) {
-                           for (std::size_t t = begin; t < end; ++t) {
-                             tile_loss_[t] = tile_loss(t);
-                           }
-                         });
-    // Reduced in tile order, so the sum is policy-independent.
-    double total_loss = 0.0;
-    for (const double loss : tile_loss_) total_loss += loss;
-    last_loss_ = total_loss;
-  }
-  if (!with_grad) return;
-
-  tensor::parallel_for(config_.policy, n_tiles_,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t t = begin; t < end; ++t) {
-                           seed_gradients(t);
-                         }
-                       });
-  for (auto it = schedule_.rbegin(); it != schedule_.rend(); ++it) {
-    dispatch_stage(*it, /*backward=*/true);
-  }
-  tensor::parallel_for(config_.policy, n_tiles_,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t t = begin; t < end; ++t) {
-                           update_tile(t);
-                         }
-                       });
 }
 
 void Engine::sweep(bool with_grad) {
-  if (config_.policy == tensor::Policy::kLevelParallel) {
-    sweep_level(with_grad);
-    return;
-  }
   const bool want_loss = config_.compute_loss || !with_grad;
   tensor::parallel_for(config_.policy, n_tiles_,
                        [&](std::size_t begin, std::size_t end) {

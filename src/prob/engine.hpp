@@ -17,22 +17,16 @@
 //
 // Every policy executes the compiled ExecPlan in plan order (forward) and
 // reverse plan order (backward) through opcode-run-batched kernels: the
-// plan clusters same-opcode ops into runs, and kernels dispatch once per
-// run with a tight per-opcode inner loop instead of a per-op switch.
-// Because the op order and accumulation order are fixed by the plan, all
-// results — activations, loss, and V after descent — are bit-identical
-// across policies and thread counts.
+// plan clusters each level's same-opcode ops into one run, and kernels
+// dispatch once per run with a tight per-opcode inner loop instead of a
+// per-op switch.  Because the op order and accumulation order are fixed by
+// the plan, all results — activations, loss, and V after descent — are
+// bit-identical across policies and thread counts.
 //
-// Scheduling (Config::policy):
-//   kSerial        one thread walks the plan tile by tile,
-//   kDataParallel  tiles are dispatched across the thread pool; within a
-//                  tile the plan is walked linearly (batch/64-way parallel),
-//   kLevelParallel the ExecPlan drives a level-synchronous sweep: wide
-//                  levels are chunked into (tile x op-range) work items
-//                  (backward chunks aligned to the plan's operand-disjoint
-//                  groups), narrow level runs are fused and dispatched per
-//                  tile.  Chunk boundaries are fixed at plan time, not by
-//                  thread count.
+// Scheduling (Config::policy) is over 64-row tiles only, the batch
+// parallelism of the paper: kSerial walks the tiles on the calling thread,
+// kDataParallel dispatches them across the thread pool.  Within a tile the
+// whole plan is walked linearly.
 
 #include <cstdint>
 #include <vector>
@@ -57,14 +51,6 @@ class Engine {
     /// Embed with the vectorized polynomial sigmoid (default) or the exact
     /// std::exp one (bit-identical to the pre-SIMD engine; used for A/B).
     bool fast_sigmoid = true;
-    /// kLevelParallel only: force the stage-major dispatcher even on a
-    /// single-thread pool.  By default a 1-thread pool executes the plan
-    /// tile-major (one cache-resident pass per tile, like the per-tile
-    /// policies) because level-major sweeps stream the whole batch once per
-    /// stage with no parallelism to pay for it.  Both orders produce
-    /// bit-identical results — backward chunks are operand-disjoint — so
-    /// this knob exists for tests and scheduler-overhead measurements.
-    bool force_level_stages = false;
     /// An extra per-row loss term weight * (p_input - target)^2 steering a
     /// circuit input toward 0 or 1 (literal-weight requests).  Inputs inside
     /// the compiled cone seed extra output-style gradient and chain through
@@ -172,19 +158,6 @@ class Engine {
                                                    std::size_t batch);
 
  private:
-  /// One level-synchronous step of the execution plan: a single wide level
-  /// chunked for intra-tile splitting, or a fused run of narrow levels
-  /// executed per tile.  `fwd`/`bwd` hold [begin, end) plan-op ranges; each
-  /// range paired with a tile is one work item.  Backward items walk their
-  /// range in reverse so fused runs unwind in level order, and backward
-  /// ranges never split an operand-disjoint group, so gradient accumulation
-  /// is race-free and deterministic under any thread count.
-  struct Stage {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> fwd;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> bwd;
-    std::uint32_t n_ops = 0;
-  };
-
   /// Config::input_biases resolved against the compiled circuit: biases on
   /// in-cone inputs become slot terms (gradient seeded like an output),
   /// biases on cone-free inputs descend V directly in update_tile.
@@ -209,16 +182,15 @@ class Engine {
   void init_tile(std::size_t tile);
   void process_tile(std::size_t tile, bool with_grad, double* loss_accum);
   void sweep(bool with_grad);
-  void sweep_level(bool with_grad);
-  void build_schedule();
-  void dispatch_stage(const Stage& stage, bool backward);
   void embed_tile(std::size_t tile);
   /// Embeds one input row of a tile through the configured sigmoid (fast or
   /// exact, matching embed_tile exactly); used by the free-bias terms whose
   /// inputs have no activation slot.
   void sigmoid_row(const float* v_row, float* out) const;
-  void forward_range(std::size_t tile, std::uint32_t begin, std::uint32_t end);
-  void backward_range(std::size_t tile, std::uint32_t begin, std::uint32_t end);
+  /// The whole plan over one tile: forward in plan order, backward in
+  /// reverse plan order, one kernel dispatch per opcode run.
+  void forward_tile(std::size_t tile);
+  void backward_tile(std::size_t tile);
   [[nodiscard]] double tile_loss(std::size_t tile) const;
   void seed_gradients(std::size_t tile);
   void update_tile(std::size_t tile);
@@ -231,9 +203,6 @@ class Engine {
   /// Config::input_biases is.
   std::vector<SlotBias> slot_biases_;
   std::vector<FreeBias> free_biases_;
-  /// Level-parallel stage schedule; built once at construction when
-  /// Config::policy is kLevelParallel, empty otherwise.
-  std::vector<Stage> schedule_;
   std::size_t n_tiles_ = 0;
   // All buffers are tiled [tile][slot-or-input][row-in-tile]; see engine.cpp.
   tensor::Buffer v_;

@@ -1,8 +1,5 @@
 #include "tensor/tensor.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace hts::tensor {
 
 namespace {
@@ -24,8 +21,6 @@ const char* policy_name(Policy policy) {
       return "serial";
     case Policy::kDataParallel:
       return "tile-parallel";
-    case Policy::kLevelParallel:
-      return "level-parallel";
   }
   return "unknown";
 }
@@ -65,28 +60,5 @@ void record_free(std::int64_t bytes) {
 }
 
 }  // namespace detail
-
-void sigmoid(Policy policy, const float* in, float* out, std::size_t n) {
-  parallel_for(policy, n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = 1.0f / (1.0f + std::exp(-in[i]));
-    }
-  });
-}
-
-void sigmoid_backward(Policy policy, const float* grad, const float* p, float* out,
-                      std::size_t n) {
-  parallel_for(policy, n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = grad[i] * p[i] * (1.0f - p[i]);
-    }
-  });
-}
-
-void sgd_step(Policy policy, float* v, const float* g, float lr, std::size_t n) {
-  parallel_for(policy, n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) v[i] -= lr * g[i];
-  });
-}
 
 }  // namespace hts::tensor

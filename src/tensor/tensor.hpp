@@ -1,12 +1,14 @@
 #pragma once
 
-// Batched float storage and data-parallel execution policies.
+// Batched float storage and the data-parallel execution policy.
 //
-// This module stands in for the paper's PyTorch/V100 substrate.  Kernels are
-// written once and dispatched either serially (models the CPU run of the
-// Fig. 4 ablation) or across a thread pool (models the GPU's batch-parallel
-// execution).  Allocation is tracked byte-accurately so the Fig. 3 (right)
-// memory-vs-batch-size curve can be measured without nvidia-smi.
+// This module stands in for the paper's PyTorch/V100 substrate: a tracked
+// float Buffer, and parallel_for, which dispatches a batch loop either
+// serially (models the CPU run of the Fig. 4 ablation) or across a thread
+// pool (models the GPU's batch-parallel execution).  The kernels live with
+// their callers (the prob engine's tape kernels, built on the width-8
+// vectors of tensor/simd.hpp).  Allocation is tracked byte-accurately so the Fig. 3
+// (right) memory-vs-batch-size curve can be measured without nvidia-smi.
 
 #include <algorithm>
 #include <atomic>
@@ -25,19 +27,12 @@ namespace hts::tensor {
 enum class Policy : std::uint8_t {
   kSerial,        // single thread ("CPU")
   kDataParallel,  // thread-pool over batch rows ("GPU simulator")
-  /// Thread-pool over the levelized execution plan: the prob engine splits
-  /// each tape level's independent ops into (tile x op-range) work items, so
-  /// parallelism scales with level width *within* a 64-row tile, not only
-  /// with batch/64 tiles.  Elementwise kernels treat it like kDataParallel.
-  kLevelParallel,
 };
 
 /// Short stable name for bench tables and JSON records.
 [[nodiscard]] const char* policy_name(Policy policy);
 
-/// Dispatches fn(begin, end) over [0, n) according to the policy
-/// (kLevelParallel dispatches like kDataParallel: level structure only
-/// matters to the prob engine's tape sweeps).
+/// Dispatches fn(begin, end) over [0, n) according to the policy.
 void parallel_for(Policy policy, std::size_t n,
                   const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -116,18 +111,5 @@ class Buffer {
   std::unique_ptr<float[]> data_;
   std::size_t size_ = 0;
 };
-
-// --- elementwise kernels ------------------------------------------------------
-
-/// out[i] = 1 / (1 + exp(-in[i])) over [0, n).
-void sigmoid(Policy policy, const float* in, float* out, std::size_t n);
-
-/// Gradient chain through the sigmoid: out[i] = grad[i] * p[i] * (1 - p[i]),
-/// where p is the already-computed sigmoid output.
-void sigmoid_backward(Policy policy, const float* grad, const float* p, float* out,
-                      std::size_t n);
-
-/// v[i] -= lr * g[i] (plain gradient-descent step, the paper's optimizer).
-void sgd_step(Policy policy, float* v, const float* g, float lr, std::size_t n);
 
 }  // namespace hts::tensor

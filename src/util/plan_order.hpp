@@ -6,11 +6,11 @@
 // Both compiled evaluators — the engine's float tape (prob::ExecPlan) and
 // the harvest side's bitwise word plan (circuit::EvalPlan) — assign ASAP
 // levels over their slot DAG, regroup ops by level (stable counting sort),
-// and then dispatch kernels once per maximal same-opcode run.  The level
-// and run boundary rules live here so the two plans can never diverge: an
-// op's level is one past the highest operand level, and a run breaks where
-// the opcode changes or a level begins (runs never cross levels; callers
-// may still clamp a run to any sub-range).
+// order each level by opcode (stable, so ties keep tape order), and then
+// dispatch kernels once per maximal same-opcode run.  The level, order and
+// run boundary rules live here so the two plans can never diverge: an op's
+// level is one past the highest operand level, each level holds exactly one
+// run per distinct opcode, and runs never cross levels.
 
 #include <algorithm>
 #include <cstdint>
@@ -58,6 +58,23 @@ template <typename OpLevelFn, typename DstFn>
     out.order[cursor[levels[i]]++] = static_cast<std::uint32_t>(i);
   }
   return out;
+}
+
+/// Orders each level of `levels` by `opcode(op index)`, stable in the
+/// levelized (tape) order, so a level's same-opcode ops sit contiguously.
+/// Ops of one level are mutually independent, so any within-level order
+/// computes the same forward values; the order is a fixed function of the
+/// tape, so a reverse (backward) walk accumulates each shared operand's
+/// gradient in one fixed sequence.
+template <typename OpcodeFn>
+void sort_levels_by_opcode(LevelOrder& levels, OpcodeFn&& opcode) {
+  for (std::size_t l = 0; l < levels.n_levels(); ++l) {
+    std::stable_sort(levels.order.begin() + levels.level_begin[l],
+                     levels.order.begin() + levels.level_begin[l + 1],
+                     [&opcode](std::uint32_t x, std::uint32_t y) {
+                       return opcode(x) < opcode(y);
+                     });
+  }
 }
 
 /// Partitions `op` (plan order) into maximal same-opcode runs bounded by

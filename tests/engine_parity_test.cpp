@@ -11,9 +11,7 @@
 // compiled plan through the opcode-run-batched kernels in the same order
 // (forward in plan order, backward in reverse plan order), so the *full* GD
 // trajectory — activations, loss, and V after descent — must be bitwise
-// identical across serial, tile-parallel, and level-parallel (including the
-// stage-major dispatch forced by Config::force_level_stages), on raw and
-// optimized tapes.
+// identical across serial and tile-parallel, on raw and optimized tapes.
 
 #include <gtest/gtest.h>
 
@@ -34,14 +32,12 @@ constexpr std::uint64_t kSeed = 4242;
 class EngineParity : public ::testing::TestWithParam<const char*> {
  protected:
   static Engine make_engine(const CompiledCircuit& compiled, bool fast_sigmoid,
-                            tensor::Policy policy = tensor::Policy::kSerial,
-                            bool force_level_stages = false) {
+                            tensor::Policy policy = tensor::Policy::kSerial) {
     Engine::Config config;
     config.batch = kBatch;
     config.policy = policy;
     config.fast_sigmoid = fast_sigmoid;
     config.compute_loss = true;
-    config.force_level_stages = force_level_stages;
     return Engine(compiled, config);
   }
 };
@@ -128,53 +124,9 @@ TEST_P(EngineParity, OptimizedGradientDescentTracksRaw) {
   }
 }
 
-TEST_P(EngineParity, LevelParallelForwardIsBitIdentical) {
-  // Serial per-tile vs level-parallel (both fallback and forced stage-major
-  // dispatch), raw and optimized tapes, exact sigmoid: every output
-  // activation and the loss must agree bit for bit.
-  const benchgen::Instance instance = benchgen::make_instance(GetParam());
-  for (const bool optimize : {false, true}) {
-    const CompiledCircuit compiled(instance.circuit,
-                                   CompiledCircuit::Options{false, optimize});
-    Engine serial = make_engine(compiled, /*fast_sigmoid=*/false);
-    Engine level = make_engine(compiled, /*fast_sigmoid=*/false,
-                               tensor::Policy::kLevelParallel);
-    Engine staged = make_engine(compiled, /*fast_sigmoid=*/false,
-                                tensor::Policy::kLevelParallel,
-                                /*force_level_stages=*/true);
-    util::Rng rng_a(kSeed);
-    util::Rng rng_b(kSeed);
-    util::Rng rng_c(kSeed);
-    serial.randomize(rng_a);
-    level.randomize(rng_b);
-    staged.randomize(rng_c);
-    serial.forward_only();
-    level.forward_only();
-    staged.forward_only();
-    for (std::size_t k = 0; k < compiled.outputs().size(); ++k) {
-      const std::uint32_t slot = compiled.outputs()[k].slot;
-      for (std::size_t r = 0; r < kBatch; ++r) {
-        ASSERT_EQ(serial.activation(slot, r), level.activation(slot, r))
-            << GetParam() << (optimize ? "/opt" : "/raw") << " output " << k
-            << " row " << r;
-        ASSERT_EQ(serial.activation(slot, r), staged.activation(slot, r))
-            << GetParam() << (optimize ? "/opt" : "/raw") << " output " << k
-            << " row " << r;
-      }
-    }
-    EXPECT_EQ(serial.last_loss(), level.last_loss()) << GetParam();
-    EXPECT_EQ(serial.last_loss(), staged.last_loss()) << GetParam();
-  }
-}
-
-TEST_P(EngineParity, GdTrajectoryIsBitIdenticalAcrossAllPolicies) {
-  // Since the opcode-batched dispatch every policy walks the plan in the
-  // same order — forward in plan order, backward in reverse plan order, with
-  // level-parallel chunk boundaries fixed at plan time and aligned to
-  // operand-disjoint groups — so the *entire* GD trajectory (not just
-  // forward activations) is bitwise equal across serial, tile-parallel, and
-  // level-parallel (both the tile-major fallback and the forced stage-major
-  // dispatch), on raw and optimized tapes.
+TEST_P(EngineParity, TileParallelForwardIsBitIdentical) {
+  // Serial vs tile-parallel, raw and optimized tapes, exact sigmoid: every
+  // output activation and the loss must agree bit for bit.
   const benchgen::Instance instance = benchgen::make_instance(GetParam());
   for (const bool optimize : {false, true}) {
     const CompiledCircuit compiled(instance.circuit,
@@ -182,12 +134,37 @@ TEST_P(EngineParity, GdTrajectoryIsBitIdenticalAcrossAllPolicies) {
     Engine serial = make_engine(compiled, /*fast_sigmoid=*/false);
     Engine tiles = make_engine(compiled, /*fast_sigmoid=*/false,
                                tensor::Policy::kDataParallel);
-    Engine level = make_engine(compiled, /*fast_sigmoid=*/false,
-                               tensor::Policy::kLevelParallel);
-    Engine staged = make_engine(compiled, /*fast_sigmoid=*/false,
-                                tensor::Policy::kLevelParallel,
-                                /*force_level_stages=*/true);
-    Engine* engines[] = {&serial, &tiles, &level, &staged};
+    util::Rng rng_a(kSeed);
+    util::Rng rng_b(kSeed);
+    serial.randomize(rng_a);
+    tiles.randomize(rng_b);
+    serial.forward_only();
+    tiles.forward_only();
+    for (std::size_t k = 0; k < compiled.outputs().size(); ++k) {
+      const std::uint32_t slot = compiled.outputs()[k].slot;
+      for (std::size_t r = 0; r < kBatch; ++r) {
+        ASSERT_EQ(serial.activation(slot, r), tiles.activation(slot, r))
+            << GetParam() << (optimize ? "/opt" : "/raw") << " output " << k
+            << " row " << r;
+      }
+    }
+    EXPECT_EQ(serial.last_loss(), tiles.last_loss()) << GetParam();
+  }
+}
+
+TEST_P(EngineParity, GdTrajectoryIsBitIdenticalAcrossAllPolicies) {
+  // Every policy walks the plan in the same order — forward in plan order,
+  // backward in reverse plan order, tile by tile — so the *entire* GD
+  // trajectory (not just forward activations) is bitwise equal across
+  // serial and tile-parallel, on raw and optimized tapes.
+  const benchgen::Instance instance = benchgen::make_instance(GetParam());
+  for (const bool optimize : {false, true}) {
+    const CompiledCircuit compiled(instance.circuit,
+                                   CompiledCircuit::Options{false, optimize});
+    Engine serial = make_engine(compiled, /*fast_sigmoid=*/false);
+    Engine tiles = make_engine(compiled, /*fast_sigmoid=*/false,
+                               tensor::Policy::kDataParallel);
+    Engine* engines[] = {&serial, &tiles};
     for (Engine* engine : engines) {
       util::Rng rng(kSeed);
       engine->randomize(rng);
@@ -198,18 +175,12 @@ TEST_P(EngineParity, GdTrajectoryIsBitIdenticalAcrossAllPolicies) {
     const std::size_t n_inputs = serial.n_inputs();
     for (std::size_t i = 0; i < n_inputs; ++i) {
       for (std::size_t r = 0; r < kBatch; ++r) {
-        const float v = serial.v_value(i, r);
-        ASSERT_EQ(v, tiles.v_value(i, r))
+        ASSERT_EQ(serial.v_value(i, r), tiles.v_value(i, r))
             << GetParam() << (optimize ? "/opt" : "/raw") << " tiles input "
-            << i << " row " << r;
-        ASSERT_EQ(v, level.v_value(i, r))
-            << GetParam() << (optimize ? "/opt" : "/raw") << " level input "
-            << i << " row " << r;
-        ASSERT_EQ(v, staged.v_value(i, r))
-            << GetParam() << (optimize ? "/opt" : "/raw") << " staged input "
             << i << " row " << r;
       }
     }
+    EXPECT_EQ(serial.last_loss(), tiles.last_loss()) << GetParam();
   }
 }
 

@@ -1,4 +1,4 @@
-// Tests for the tensor backend and the probabilistic engine: Table I
+// Tests for the tensor buffer and the probabilistic engine: Table I
 // forward/derivative semantics, finite-difference gradient checks on random
 // circuits, loss descent, hardening, cone-only compilation, serial/parallel
 // equivalence, and memory accounting.
@@ -22,41 +22,6 @@ using circuit::GateType;
 using circuit::SignalId;
 
 // --- tensor backend ------------------------------------------------------------
-
-TEST(Tensor, SigmoidValues) {
-  const float in[3] = {0.0f, 10.0f, -10.0f};
-  float out[3];
-  tensor::sigmoid(tensor::Policy::kSerial, in, out, 3);
-  EXPECT_NEAR(out[0], 0.5f, 1e-6f);
-  EXPECT_GT(out[1], 0.9999f);
-  EXPECT_LT(out[2], 0.0001f);
-}
-
-TEST(Tensor, SigmoidBackwardChain) {
-  const float grad[1] = {2.0f};
-  const float p[1] = {0.25f};
-  float out[1];
-  tensor::sigmoid_backward(tensor::Policy::kSerial, grad, p, out, 1);
-  EXPECT_NEAR(out[0], 2.0f * 0.25f * 0.75f, 1e-6f);
-}
-
-TEST(Tensor, SgdStep) {
-  float v[2] = {1.0f, -1.0f};
-  const float g[2] = {0.5f, -0.5f};
-  tensor::sgd_step(tensor::Policy::kSerial, v, g, 10.0f, 2);
-  EXPECT_FLOAT_EQ(v[0], -4.0f);
-  EXPECT_FLOAT_EQ(v[1], 4.0f);
-}
-
-TEST(Tensor, PoliciesAgree) {
-  util::Rng rng(5);
-  constexpr std::size_t kN = 10000;
-  std::vector<float> in(kN), serial(kN), parallel(kN);
-  for (auto& x : in) x = static_cast<float>(rng.next_gaussian());
-  tensor::sigmoid(tensor::Policy::kSerial, in.data(), serial.data(), kN);
-  tensor::sigmoid(tensor::Policy::kDataParallel, in.data(), parallel.data(), kN);
-  for (std::size_t i = 0; i < kN; ++i) ASSERT_FLOAT_EQ(serial[i], parallel[i]);
-}
 
 TEST(Tensor, BufferTracksBytes) {
   tensor::reset_peak_bytes();
@@ -608,7 +573,6 @@ TEST(EngineDraw, BitIdenticalAcrossPolicies) {
   };
   const std::vector<float> serial = draw(tensor::Policy::kSerial);
   EXPECT_EQ(serial, draw(tensor::Policy::kDataParallel));
-  EXPECT_EQ(serial, draw(tensor::Policy::kLevelParallel));
 }
 
 TEST(EngineDraw, RandomizeEqualsRerandomizeWithAllOnesMask) {
